@@ -47,6 +47,7 @@ from .dissipation import (
 )
 from .dynamics import (
     DependenceReport,
+    EquilibriumConsistencyError,
     EquilibriumReport,
     classify_equilibrium,
     conservative_field,

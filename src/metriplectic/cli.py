@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import classify_equilibrium, diagnostics_function, field_function
+from .dynamics import EquilibriumConsistencyError, classify_equilibrium, diagnostics_function, field_function
 from .dissipation import verify_metriplectic_conditions
 from .expressions import EvaluationError
 from .geometry import CasimirError, SystemDefinition, VerificationPolicy, sample_box
@@ -169,7 +169,10 @@ def _cmd_equilibrium(args) -> int:
     point = _parse_vector(args.point, "--point")
     if len(point) != sys_def.n:
         raise _CliError(f"point has {len(point)} components, system dimension is {sys_def.n}")
-    eq = classify_equilibrium(sys_def, point, args.tol)
+    try:
+        eq = classify_equilibrium(sys_def, point, args.tol)
+    except EquilibriumConsistencyError as exc:
+        raise _CliError(str(exc), EXIT_FAIL) from exc
     lyap = lyapunov_report(sys_def, point, pd_tol=args.pd_tol)
     payload = {
         "command": "equilibrium",

@@ -16,7 +16,9 @@ is the scale-invariant proxy used to measure distance from that set.
 
 Field evaluation is compiled: the component formulas are assembled once
 per system into plain Python arithmetic (shared subterms hoisted into
-locals) so that long integrations stay cheap.
+locals) so that long integrations stay cheap.  The equilibrium analysis
+reads grad H and grad phi(C) from the compiled scalar fields of
+:mod:`geometry`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import ScalarField, SystemDefinition, compose_entropy
+from .geometry import SystemDefinition, as_state, compose_entropy
 
 __all__ = [
     "DependenceReport",
     "EquilibriumReport",
+    "EquilibriumConsistencyError",
     "DEFAULT_DEPENDENCE_TOL",
     "DEFAULT_EQUILIBRIUM_TOL",
     "PROP_21_SLACK",
@@ -48,16 +51,13 @@ DEFAULT_DEPENDENCE_TOL = 1e-10
 DEFAULT_EQUILIBRIUM_TOL = 1e-9
 PROP_21_SLACK = 10.0
 
-_RUNTIME_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+class EquilibriumConsistencyError(RuntimeError):
+    """A full-field equilibrium failed to be a conservative-field one."""
 
 
 # ---------------------------------------------------------------------------
 # Code generation
-
-def _emit_gradient(lines, prefix, fields: Sequence[ex.Expression], names):
-    for i, g in enumerate(fields):
-        lines.append(f"    {prefix}{i + 1} = {ex.to_source(g, names)}")
-
 
 def _xi_pi_sources(sys: SystemDefinition, names) -> list[str]:
     """Per-component source of Pi(x) grad H(x); zero entries are dropped."""
@@ -74,120 +74,70 @@ def _xi_pi_sources(sys: SystemDefinition, names) -> list[str]:
 
 
 def _entropy_gradient_lines(sys: SystemDefinition, names) -> list[str]:
-    """Lines computing u = grad phi(C) via hoisted c_l and phi-partials f_l."""
+    """Lines computing u = grad phi(C) via hoisted c_l and phi-partials f_l.
+
+    This repeats the chain rule of :func:`geometry.compose_entropy` so that
+    each Casimir is evaluated once per call, not once per component.
+    """
     lines = []
     cnames = [f"c{l + 1}" for l in range(sys.k)]
     for l, c in enumerate(sys.casimirs):
-        lines.append(f"    c{l + 1} = {ex.to_source(c.value, names)}")
+        lines.append(f"c{l + 1} = {ex.to_source(c.value, names)}")
     for l in range(sys.k):
         partial = ex.differentiate(sys.phi, l + 1)
-        lines.append(f"    f{l + 1} = {ex.to_source(partial, cnames)}")
+        lines.append(f"f{l + 1} = {ex.to_source(partial, cnames)}")
     for i in range(sys.n):
         terms = []
         for l, c in enumerate(sys.casimirs):
             gsrc = ex.to_source(c.gradient[i], names)
             terms.append(f"f{l + 1}*{gsrc}")
-        lines.append(f"    u{i + 1} = " + " + ".join(terms))
+        lines.append(f"u{i + 1} = " + " + ".join(terms))
     return lines
 
 
-def _generate(sys: SystemDefinition) -> str:
+def _generate(sys: SystemDefinition) -> dict:
+    """Bodies of the ``conservative``, ``metriplectic`` and ``diagnostics`` kernels."""
     n, k = sys.n, sys.k
     names = [f"x{i + 1}" for i in range(n)]
-    unpack = [f"    x{i + 1} = xs[{i}]" for i in range(n)]
+    grad_h = [f"g{i + 1} = {ex.to_source(g, names)}" for i, g in enumerate(sys.hamiltonian.gradient)]
     xi_pi = _xi_pi_sources(sys, names)
     dot = lambda a, b: " + ".join(f"{a}{i + 1}*{b}{i + 1}" for i in range(n))
+    tuple_of = lambda comps: "return (" + ", ".join(comps) + ("," if n == 1 else "") + ")"
+    hval = f"hval = {ex.to_source(sys.hamiltonian.value, names)}"
 
-    lines = ["def conservative(xs):"]
-    lines += unpack
-    _emit_gradient(lines, "g", sys.hamiltonian.gradient, names)
-    lines.append("    return (" + ", ".join(xi_pi) + ("," if n == 1 else "") + ")")
-    lines.append("")
-
+    conservative = grad_h + [tuple_of(xi_pi)]
     if k == 0:
-        lines.append("metriplectic = conservative")
-    else:
-        lines.append("def metriplectic(xs):")
-        lines += unpack
-        _emit_gradient(lines, "g", sys.hamiltonian.gradient, names)
-        lines += _entropy_gradient_lines(sys, names)
-        lines.append(f"    hu = {dot('g', 'u')}")
-        lines.append(f"    hh = {dot('g', 'g')}")
-        comps = [f"{xi_pi[i]} + hu*g{i + 1} - hh*u{i + 1}" for i in range(n)]
-        lines.append("    return (" + ", ".join(comps) + ("," if n == 1 else "") + ")")
-    lines.append("")
-
-    lines.append("def gradients(xs):")
-    lines += unpack
-    _emit_gradient(lines, "g", sys.hamiltonian.gradient, names)
-    if k == 0:
-        lines += [f"    u{i + 1} = 0.0" for i in range(n)]
-    else:
-        lines += _entropy_gradient_lines(sys, names)
-    gtuple = ", ".join(f"g{i + 1}" for i in range(n))
-    utuple = ", ".join(f"u{i + 1}" for i in range(n))
-    lines.append(f"    return (({gtuple},), ({utuple},))")
-    lines.append("")
-
-    lines.append("def diagnostics(xs):")
-    lines += unpack
-    lines.append(f"    hval = {ex.to_source(sys.hamiltonian.value, names)}")
-    if k == 0:
-        lines.append("    return (hval, 0.0, 0.0, 0.0)")
-    else:
-        _emit_gradient(lines, "g", sys.hamiltonian.gradient, names)
-        lines += _entropy_gradient_lines(sys, names)
-        cnames = [f"c{l + 1}" for l in range(k)]
-        lines.append(f"    phival = {ex.to_source(sys.phi, cnames)}")
-        lines.append(f"    hu = {dot('g', 'u')}")
-        lines.append(f"    hh = {dot('g', 'g')}")
-        lines.append(f"    uu = {dot('u', 'u')}")
-        lines.append("    sdot = hu*hu - hh*uu")
-        lines.append("    denom = hh*uu")
-        lines.append("    if denom > 0.0:")
-        lines.append("        defect = (denom - hu*hu)/denom")
-        lines.append("        if defect < 0.0:")
-        lines.append("            defect = 0.0")
-        lines.append("        elif defect > 1.0:")
-        lines.append("            defect = 1.0")
-        lines.append("    else:")
-        lines.append("        defect = 0.0")
-        lines.append("    return (hval, phival, sdot, defect)")
-    lines.append("")
-    return "\n".join(lines)
+        return {"conservative": conservative, "metriplectic": conservative,
+                "diagnostics": [hval, "return (hval, 0.0, 0.0, 0.0)"]}
+    grad_hu = grad_h + _entropy_gradient_lines(sys, names)
+    products = [f"hu = {dot('g', 'u')}", f"hh = {dot('g', 'g')}"]
+    cnames = [f"c{l + 1}" for l in range(k)]
+    return {
+        "conservative": conservative,
+        "metriplectic": grad_hu + products + [tuple_of(f"{xi_pi[i]} + hu*g{i + 1} - hh*u{i + 1}" for i in range(n))],
+        "diagnostics": [hval] + grad_hu + [f"phival = {ex.to_source(sys.phi, cnames)}"] + products + [
+            f"uu = {dot('u', 'u')}",
+            "sdot = hu*hu - hh*uu",
+            "denom = hh*uu",
+            "if denom > 0.0:",
+            "    defect = (denom - hu*hu)/denom",
+            "    if defect < 0.0:",
+            "        defect = 0.0",
+            "    elif defect > 1.0:",
+            "        defect = 1.0",
+            "else:",
+            "    defect = 0.0",
+            "return (hval, phival, sdot, defect)",
+        ],
+    }
 
 
 def _compiled(sys: SystemDefinition) -> dict:
-    cache = sys._compiled
-    if cache is None:
+    if sys._compiled is None:
         # touching compose_entropy first runs its construction-time checks
         compose_entropy(sys)
-        namespace = dict(ex.SOURCE_ENV)
-        exec(compile(_generate(sys), f"<{sys.name or 'system'}-dynamics>", "exec"), namespace)
-        cache = {
-            "conservative": namespace["conservative"],
-            "metriplectic": namespace["metriplectic"],
-            "gradients": namespace["gradients"],
-            "diagnostics": namespace["diagnostics"],
-        }
-        sys._compiled = cache
-    return cache
-
-
-def _call(fn, xs):
-    try:
-        return fn(xs)
-    except ex.EvaluationError:
-        raise
-    except _RUNTIME_ERRORS as exc:
-        raise ex.EvaluationError(f"{exc} at x={xs}") from exc
-
-
-def _as_state(sys: SystemDefinition, x: Sequence[float]) -> list:
-    xs = np.asarray(x, dtype=float)
-    if xs.shape != (sys.n,):
-        raise ValueError(f"state has shape {xs.shape}, expected ({sys.n},)")
-    return xs.tolist()
+        sys._compiled = ex.compile_kernels(sys.n, _generate(sys), f"{sys.name or 'system'}-dynamics")
+    return sys._compiled
 
 
 def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -198,10 +148,7 @@ def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], n
     n = sys.n
 
     def field(x):
-        xs = np.asarray(x, dtype=float).tolist()
-        if len(xs) != n:
-            raise ValueError(f"state has length {len(xs)}, expected {n}")
-        return np.array(_call(fn, xs))
+        return np.array(fn(as_state(x, n)))
 
     return field
 
@@ -212,27 +159,19 @@ def diagnostics_function(sys: SystemDefinition) -> Callable[[np.ndarray], tuple]
     n = sys.n
 
     def diag(x):
-        xs = np.asarray(x, dtype=float).tolist()
-        if len(xs) != n:
-            raise ValueError(f"state has length {len(xs)}, expected {n}")
-        return _call(fn, xs)
+        return fn(as_state(x, n))
 
     return diag
 
 
 def conservative_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:
     """``Pi(x) grad H(x)``."""
-    return np.array(_call(_compiled(sys)["conservative"], _as_state(sys, x)))
+    return np.array(_compiled(sys)["conservative"](as_state(x, sys.n)))
 
 
 def metriplectic_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:
     """``Pi grad H + G grad phi(C)`` with the dissipation applied matrix-free."""
-    return np.array(_call(_compiled(sys)["metriplectic"], _as_state(sys, x)))
-
-
-def _gradient_pair(sys: SystemDefinition, x: Sequence[float]):
-    g, u = _call(_compiled(sys)["gradients"], _as_state(sys, x))
-    return np.array(g), np.array(u)
+    return np.array(_compiled(sys)["metriplectic"](as_state(x, sys.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +220,7 @@ def dependence_defect(sys: SystemDefinition, x: Sequence[float]) -> float:
 
     Continuous in the state, zero exactly on the linear-dependence set.
     """
-    return _call(_compiled(sys)["diagnostics"], _as_state(sys, x))[3]
+    return _compiled(sys)["diagnostics"](as_state(x, sys.n))[3]
 
 
 @dataclass(frozen=True)
@@ -303,23 +242,26 @@ def classify_equilibrium(
     """Test ``x`` against both fields with threshold ``tol * (1 + ||x||_inf)``.
 
     A full-field equilibrium must also be a conservative-field one; that
-    implication is asserted (with slack ``PROP_21_SLACK``) on every call.
+    implication is checked (with slack ``PROP_21_SLACK``) on every call and
+    a violation raises :class:`EquilibriumConsistencyError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
     point = np.asarray(x, dtype=float)
     xi_pi = conservative_field(sys, point)
     xi = metriplectic_field(sys, point)
-    g, u = _gradient_pair(sys, point)
+    g = sys.hamiltonian.gradient_at(point)
+    u = compose_entropy(sys).gradient_at(point)
     thr = tol * (1.0 + float(np.max(np.abs(point))))
     xi_pi_norm = float(np.max(np.abs(xi_pi)))
     xi_norm = float(np.max(np.abs(xi)))
     is_xi = xi_norm <= thr
     is_xi_pi = xi_pi_norm <= thr
-    assert not is_xi or xi_pi_norm <= PROP_21_SLACK * thr, (
-        f"full-field equilibrium at {point.tolist()} is not a conservative one: "
-        f"|xi_pi| = {xi_pi_norm:.3e} vs threshold {thr:.3e}"
-    )
+    if is_xi and xi_pi_norm > PROP_21_SLACK * thr:
+        raise EquilibriumConsistencyError(
+            f"full-field equilibrium at {point.tolist()} is not a conservative one: "
+            f"|xi_pi| = {xi_pi_norm:.3e} vs threshold {thr:.3e}"
+        )
     return EquilibriumReport(
         point=point,
         is_xi_pi_equilibrium=is_xi_pi,

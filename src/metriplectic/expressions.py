@@ -3,9 +3,10 @@
 User-defined systems supply their Hamiltonian, Casimirs, entropy shaper
 and Poisson-matrix entries as strings in indexed variables (``x1..xn``,
 or ``s1..sk`` for the entropy shaper).  Parsing produces an immutable
-tree that can be evaluated, differentiated symbolically, printed back to
-parseable text, and compiled to a plain Python arithmetic expression for
-tight inner loops.
+tree that can be differentiated symbolically, printed back to parseable
+text, and compiled by :func:`compile_kernels` into the Python kernels
+every numeric evaluation runs on; the tree-walking :func:`evaluate` is
+kept as the independent oracle those kernels are tested against.
 
 Grammar (whitespace-insensitive)::
 
@@ -49,6 +50,7 @@ __all__ = [
     "substitute",
     "to_string",
     "to_source",
+    "compile_kernels",
     "max_var_index",
     "FUNCTIONS",
 ]
@@ -472,10 +474,8 @@ SOURCE_ENV: dict[str, Callable] = {
 def to_source(e: Expression, names: Sequence[str]) -> str:
     """Render as a Python expression over the given variable names.
 
-    ``names[i-1]`` replaces variable ``i``.  The result is meant to be
-    evaluated with :data:`SOURCE_ENV` in scope; math errors surface as
-    ``ValueError``/``ZeroDivisionError``/``OverflowError`` or directly as
-    :class:`EvaluationError` from the ``_pow`` helper.
+    ``names[i-1]`` replaces variable ``i``.  The result is meant to run in
+    a kernel built by :func:`compile_kernels`.
     """
     if isinstance(e, Num):
         if not math.isfinite(e.value):
@@ -503,6 +503,34 @@ def to_source(e: Expression, names: Sequence[str]) -> str:
             return f"({to_source(e.left, names)}**{int(e.right.value)})"
         return f"_pow({to_source(e.left, names)}, {to_source(e.right, names)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str) -> dict:
+    """Compile one function ``name(xs)`` per entry of ``bodies``.
+
+    A body is a list of statement lines, ending in a ``return``, over the
+    locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
+    run with :data:`SOURCE_ENV` in scope and are wrapped so that a math
+    error inside one surfaces as :class:`EvaluationError` naming ``xs``.
+    """
+    unpack = "".join(f"    x{i + 1} = xs[{i}]\n" for i in range(arity))
+    source = "".join(
+        f"def {name}(xs):\n{unpack}" + "".join(f"    {line}\n" for line in body)
+        for name, body in bodies.items()
+    )
+    namespace = dict(SOURCE_ENV)
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return {name: _guarded(namespace[name]) for name in bodies}
+
+
+def _guarded(fn: Callable) -> Callable:
+    def kernel(xs):
+        try:
+            return fn(xs)
+        except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{exc} at x={xs}") from exc
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +562,10 @@ def _tokenize(text: str, arity: int, prefix: str) -> list[_Token]:
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
-            tokens.append(_Token("NUM", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"numeric literal {m.group()!r} overflows", i)
+            tokens.append(_Token("NUM", value, i))
             i = m.end()
             continue
         m = _WORD_RE.match(text, i)

@@ -4,7 +4,9 @@ A system couples an antisymmetric state-dependent matrix Pi(x) with a
 Hamiltonian H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an
 entropy shaper phi: R^k -> R.  Casimir-ness cannot be proved from the
 expression trees, so it is certified by sampling: the residual
-``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points.
+``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points.  Scalar
+fields and Poisson grids compile to kernels once, when built, and every
+evaluation and check here runs on them.
 """
 
 from __future__ import annotations
@@ -75,6 +77,24 @@ def sample_box(n: int, box: tuple[float, float], samples: int, seed: int) -> np.
     return rng.uniform(lo, hi, size=(samples, n))
 
 
+def as_state(x: Sequence[float], n: int) -> list:
+    """``x`` as the list of n floats every compiled kernel takes."""
+    xs = np.asarray(x, dtype=float)
+    if xs.shape != (n,):
+        raise ValueError(f"state has shape {xs.shape}, expected ({n},)")
+    return xs.tolist()
+
+
+def _compile(arity: int, label: str, **results) -> list:
+    """One kernel per keyword, returning the tuple of its expressions' values."""
+    names = [f"x{i + 1}" for i in range(arity)]
+    bodies = {
+        name: ["return (" + "".join(f"{ex.to_source(e, names)}, " for e in exprs) + ")"]
+        for name, exprs in results.items()
+    }
+    return list(ex.compile_kernels(arity, bodies, label).values())
+
+
 class PoissonStructure:
     """n x n grid of expressions, entry (i, j) giving the bracket {x_i, x_j}."""
 
@@ -85,6 +105,7 @@ class PoissonStructure:
             raise ValueError(f"entry grid must be {n}x{n}")
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
+        (self._kernel,) = _compile(n, "poisson", matrix=[e for row in self.entries for e in row])
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "PoissonStructure":
@@ -100,13 +121,8 @@ def poisson_matrix(structure: PoissonStructure, x: Sequence[float]) -> np.ndarra
     because the entries are state-dependent.
     """
     n = structure.n
-    if len(x) != n:
-        raise ValueError(f"point has length {len(x)}, expected {n}")
-    point = [float(v) for v in x]
-    mat = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = ex.evaluate(structure.entries[i][j], point)
+    point = as_state(x, n)
+    mat = np.array(structure._kernel(point)).reshape(n, n)
     worst = float(np.max(np.abs(mat + mat.T)))
     if worst > ANTISYMMETRY_TOL:
         raise AntisymmetryError(
@@ -140,6 +156,7 @@ class ScalarField:
         self.arity = arity
         self.value = value
         self.gradient = tuple(gradient)
+        self._value, self._gradient = _compile(arity, "field", value=[value], gradient=self.gradient)
         self._check_gradient()
 
     @classmethod
@@ -152,27 +169,29 @@ class ScalarField:
         return cls.from_expression(ex.parse(text, arity), arity)
 
     def value_at(self, x: Sequence[float]) -> float:
-        return ex.evaluate(self.value, x)
+        return self._value(as_state(x, self.arity))[0]
 
     def gradient_at(self, x: Sequence[float]) -> np.ndarray:
-        point = [float(v) for v in x]
-        return np.array([ex.evaluate(g, point) for g in self.gradient])
+        return np.array(self._gradient(as_state(x, self.arity)))
 
     def _check_gradient(self) -> None:
         rng = np.random.default_rng(12345)
         pts = rng.uniform(-1.5, 1.5, size=(self._CHECK_POINTS, self.arity))
         h = self._CHECK_STEP
         for p in pts:
-            for i in range(self.arity):
-                stencil_hi = p.copy()
-                stencil_lo = p.copy()
+            try:
+                grad = self._gradient(p.tolist())
+            except ex.EvaluationError:
+                continue  # outside the domain; nothing to compare
+            for i, sym in enumerate(grad):
+                stencil_hi = p.tolist()
+                stencil_lo = p.tolist()
                 stencil_hi[i] += h
                 stencil_lo[i] -= h
                 try:
-                    sym = ex.evaluate(self.gradient[i], p)
-                    fd = (ex.evaluate(self.value, stencil_hi) - ex.evaluate(self.value, stencil_lo)) / (2 * h)
+                    fd = (self._value(stencil_hi)[0] - self._value(stencil_lo)[0]) / (2 * h)
                 except ex.EvaluationError:
-                    continue  # outside the domain; nothing to compare
+                    continue
                 if abs(sym) > 1e6 or abs(fd) > 1e6:
                     continue  # too ill-conditioned for a finite-difference check
                 if abs(fd - sym) > self._CHECK_TOL * max(1.0, abs(sym)):

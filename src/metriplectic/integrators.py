@@ -168,17 +168,22 @@ def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndar
 
 
 class _Recorder:
-    def __init__(self, diagnostics, stride: int, entropy_slack: float):
+    def __init__(self, diagnostics, stride: int, entropy_slack: float,
+                 divergence_bound: float, escape_center, escape_radius):
         self.diag_fn = diagnostics
         self.stride = stride
         self.entropy_slack = entropy_slack
+        self.divergence_bound = divergence_bound
+        self.escape_center = escape_center
+        self.escape_radius = escape_radius
         self.times: list[float] = []
         self.states: list[np.ndarray] = []
         self.records: list[tuple] = []
         self.monitor = MonitorSummary()
         self._last_entropy = None
 
-    def observe(self, t: float, x: np.ndarray, accepted_index: int) -> None:
+    def observe(self, t: float, x: np.ndarray, accepted_index: int):
+        """Score ``x``, store it on the stride (always for index < 0), return its record."""
         record = None
         if self.diag_fn is not None:
             record = self.diag_fn(x)
@@ -201,6 +206,24 @@ class _Recorder:
             self._last_entropy = record[1]
         if accepted_index % self.stride == 0 or accepted_index < 0:
             self._store(t, x, record)
+        return record
+
+    def accept(self, t: float, x: np.ndarray, last: bool) -> bool:
+        """Check, count and observe an accepted step ending at ``(t, x)``;
+        True when the escape guard fires (the escaping state is stored)."""
+        if not np.all(np.isfinite(x)):
+            raise self.divergence(f"state became non-finite at t={t!r}")
+        if np.max(np.abs(x)) > self.divergence_bound:
+            raise self.divergence(f"state exceeded divergence bound {self.divergence_bound:g} at t={t!r}")
+        self.monitor.steps_accepted += 1
+        record = self.observe(t, x, -1 if last else self.monitor.steps_accepted)
+        if self.escape_center is not None and np.linalg.norm(x - self.escape_center) > self.escape_radius:
+            self._store(t, x, record)
+            return True
+        return False
+
+    def divergence(self, message: str) -> DivergenceError:
+        return DivergenceError(message, self.build("diverged"))
 
     def _store(self, t, x, record):
         if self.times and t <= self.times[-1]:
@@ -243,9 +266,11 @@ def integrate(
 
     Raises :class:`DivergenceError` (with the partial trajectory) when
     the state becomes non-finite, exceeds ``divergence_bound``, or the
-    field fails to evaluate.  The escape guard --- leaving the ball of
-    ``escape_radius`` around ``escape_center`` --- truncates the run and
-    flags the trajectory instead of raising.
+    field fails to evaluate, and in adaptive mode when the error
+    estimate is non-finite or an accepted step no longer advances t.
+    The escape guard --- leaving the ball of ``escape_radius`` around
+    ``escape_center`` --- truncates the run and flags the trajectory
+    instead of raising.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -260,19 +285,8 @@ def integrate(
         if escape_radius is None or escape_radius <= 0:
             raise ValueError("escape guard needs a positive radius")
 
-    recorder = _Recorder(diagnostics, stride, entropy_slack)
+    recorder = _Recorder(diagnostics, stride, entropy_slack, divergence_bound, escape_center, escape_radius)
     recorder.observe(t0, x, 0)
-
-    def check_state(t, x_new, recorder):
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(
-                f"state became non-finite at t={t!r}", recorder.build("diverged")
-            )
-        if np.max(np.abs(x_new)) > divergence_bound:
-            raise DivergenceError(
-                f"state exceeded divergence bound {divergence_bound:g} at t={t!r}",
-                recorder.build("diverged"),
-            )
 
     if control.mode == "fixed":
         h = control.h
@@ -288,23 +302,18 @@ def integrate(
             try:
                 x = rk4_step(field, x, t0 + (i - 1) * h, step)
             except FieldEvaluationError as exc:
-                raise DivergenceError(str(exc), recorder.build("diverged")) from exc
-            check_state(t_next, x, recorder)
-            recorder.monitor.steps_accepted += 1
-            recorder.observe(t_next, x, i if i < n_steps else -1)
-            if escape_center is not None and np.linalg.norm(x - escape_center) > escape_radius:
-                if recorder.times[-1] < t_next:
-                    recorder._store(t_next, x, recorder.diag_fn(x) if diagnostics else None)
+                raise recorder.divergence(str(exc)) from exc
+            if recorder.accept(t_next, x, i == n_steps):
                 return recorder.build("escaped")
         return recorder.build("completed")
 
     # adaptive: step doubling on RK4
     t = t0
     h = min(control.h, t1 - t0)
+    t_end = t1 - 1e-12 * max(1.0, abs(t1))
     attempts = 0
-    accepted = 0
     recorder.monitor.max_error_ratio = 0.0
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
+    while t < t_end:
         h = min(h, t1 - t)
         attempts += 1
         if attempts > control.max_steps:
@@ -314,25 +323,20 @@ def integrate(
             half = rk4_step(field, x, t, 0.5 * h)
             double = rk4_step(field, half, t + 0.5 * h, 0.5 * h)
         except FieldEvaluationError as exc:
-            raise DivergenceError(str(exc), recorder.build("diverged")) from exc
+            raise recorder.divergence(str(exc)) from exc
         est = float(np.max(np.abs(full - double))) / 15.0
+        if not math.isfinite(est):
+            raise recorder.divergence(f"non-finite error estimate at t={t!r}")
         tol = control.abs_tol + control.rel_tol * float(np.max(np.abs(x)))
         if est <= tol:
             t_next = min(t + h, t1)
+            if t_next == t:
+                raise recorder.divergence(f"step h={h!r} no longer advances t={t!r}")
             x = double
-            check_state(t_next, x, recorder)
-            accepted += 1
-            recorder.monitor.steps_accepted += 1
-            ratio = est / tol
-            if ratio > recorder.monitor.max_error_ratio:
-                recorder.monitor.max_error_ratio = ratio
-            done = t_next >= t1 - 1e-12 * max(1.0, abs(t1))
-            recorder.observe(t_next, x, -1 if done else accepted)
-            t = t_next
-            if escape_center is not None and np.linalg.norm(x - escape_center) > escape_radius:
-                if recorder.times[-1] < t_next:
-                    recorder._store(t_next, x, recorder.diag_fn(x) if diagnostics else None)
+            recorder.monitor.max_error_ratio = max(recorder.monitor.max_error_ratio, est / tol)
+            if recorder.accept(t_next, x, t_next >= t_end):
                 return recorder.build("escaped")
+            t = t_next
         else:
             recorder.monitor.steps_rejected += 1
         factor = 0.9 * (tol / est) ** 0.2 if est > 0 else 5.0

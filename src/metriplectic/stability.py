@@ -129,8 +129,7 @@ def _raw_hessian(field: ScalarField, point: np.ndarray, h: Optional[float]) -> n
         lo = point.copy()
         hi[i] += h
         lo[i] -= h
-        for j in range(n):
-            mat[i, j] = (ex.evaluate(field.gradient[j], hi) - ex.evaluate(field.gradient[j], lo)) / (2.0 * h)
+        mat[i] = (field.gradient_at(hi) - field.gradient_at(lo)) / (2.0 * h)
     return mat
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metriplectic import cli
+from metriplectic import cli, dynamics
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,6 +108,12 @@ def test_equilibrium_origin(tmp_path):
     assert report["is_conservative_equilibrium"] is True
     assert report["lyapunov"]["grad_norm"] == 0.0
     assert report["lyapunov"]["positive_definite"] is False
+
+
+def test_equilibrium_inconsistency_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "conservative_field", lambda sys_def, x: np.ones(3))
+    assert run(["equilibrium", "--point", "1,0,0"], tmp_path) == cli.EXIT_FAIL
+    assert "is not a conservative one" in capsys.readouterr().err
 
 
 def test_equilibrium_dimension_mismatch(tmp_path):

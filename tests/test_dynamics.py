@@ -190,6 +190,12 @@ def test_classify_origin(rigid):
     assert report.dependence.dependent  # both gradients vanish
 
 
+def test_full_equilibrium_that_is_not_conservative_raises(rigid, monkeypatch):
+    monkeypatch.setattr(mp.dynamics, "conservative_field", lambda sys_def, x: np.ones(3))
+    with pytest.raises(mp.EquilibriumConsistencyError, match="is not a conservative one"):
+        mp.classify_equilibrium(rigid, [1.0, 0.0, 0.0])
+
+
 def test_classify_tolerance_check(rigid):
     with pytest.raises(ValueError):
         mp.classify_equilibrium(rigid, [1.0, 0.0, 0.0], tol=0.0)

@@ -203,22 +203,38 @@ def test_round_trip_through_printer():
             assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ex.EvaluationError:
+        return ex.EvaluationError
+
+
 def test_compiled_source_matches_interpreter():
+    # bit-identical values, and a domain error raised on both sides or neither
     rng = np.random.default_rng(23)
     names = ["x1", "x2", "x3"]
-    for _ in range(200):
+    compared = 0
+    for _ in range(1000):
         tree = random_tree(rng, 3, int(rng.integers(1, 5)))
-        src = ex.to_source(tree, names)
-        fn = eval(f"lambda x1, x2, x3: {src}", dict(ex.SOURCE_ENV))
-        for _ in range(2):
-            p = rng.uniform(-2, 2, size=3)
-            try:
-                a = ex.evaluate(tree, p)
-            except ex.EvaluationError:
-                with pytest.raises((ex.EvaluationError, ValueError, ZeroDivisionError, OverflowError)):
-                    fn(*p)
+        body = [f"return {ex.to_source(tree, names)}"]
+        kernel = ex.compile_kernels(3, {"f": body}, "test")["f"]
+        for _ in range(4):
+            p = rng.uniform(-2, 2, size=3).tolist()
+            expected = _outcome(ex.evaluate, tree, p)
+            got = _outcome(kernel, p)
+            if ex.EvaluationError in (got, expected):
+                assert got is expected, ex.to_string(tree)
                 continue
-            assert fn(*p) == pytest.approx(a, rel=1e-15, abs=1e-300), ex.to_string(tree)
+            assert got == expected or (math.isnan(got) and math.isnan(expected)), ex.to_string(tree)
+            compared += 1
+    assert compared > 3000
+
+
+def test_compiled_kernel_error_names_the_point():
+    kernel = ex.compile_kernels(1, {"f": ["return _ln(x1)"]}, "test")["f"]
+    with pytest.raises(ex.EvaluationError, match=r"at x=\[-1\.0\]"):
+        kernel([-1.0])
 
 
 def test_substitute_composition():
@@ -237,6 +253,15 @@ def test_substitute_missing_mapping():
 
 # ---------------------------------------------------------------------------
 # totality: anything either parses or raises a positioned ExpressionError
+
+def test_overflowing_literal_rejected_with_position():
+    with pytest.raises(ex.ExpressionSyntaxError, match="1e999") as info:
+        ex.parse("x1/1e999", 1)
+    assert info.value.position == 3
+    with pytest.raises(ex.ExpressionSyntaxError):
+        ex.parse("-" + "9" * 400, 1)
+    assert ex.parse("1e308", 1) == ex.Num(1e308)
+
 
 def test_parser_is_total_on_garbage():
     rng = np.random.default_rng(99)

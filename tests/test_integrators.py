@@ -171,6 +171,32 @@ def test_adaptive_rejects_when_started_too_coarse(rigid):
     assert traj.monitor.steps_rejected > 0
 
 
+def test_adaptive_non_finite_error_estimate_diverges():
+    calls = [0]
+
+    def field(x):  # x' = x until x passes 1.5, NaN beyond
+        calls[0] += 1
+        return x.copy() if x[0] <= 1.5 else np.array([np.nan])
+
+    control = mp.StepControl(mode="adaptive", h=1e-2, max_steps=2000)
+    with pytest.raises(mp.DivergenceError, match="non-finite error estimate at t=") as err:
+        mp.integrate(field, [1.0], (0.0, 5.0), control)
+    partial = err.value.trajectory
+    assert partial.status == "diverged"
+    assert 0.3 < partial.times[-1] <= math.log(1.5)
+    assert calls[0] < 12 * 100  # not a step budget spent shrinking h
+
+
+def test_adaptive_step_that_does_not_advance_t_diverges():
+    t0 = 1e17  # doubles are 16 apart here, so t0 + h == t0 for any h < 8
+    control = mp.StepControl(mode="adaptive", h=1.0)
+    with pytest.raises(mp.DivergenceError, match="no longer advances t=") as err:
+        mp.integrate(lambda x: -x, [1.0], (t0, t0 + 1e6), control)
+    partial = err.value.trajectory
+    assert partial.status == "diverged"
+    assert partial.times.tolist() == [t0]
+
+
 # ---------------------------------------------------------------------------
 # StepControl / Trajectory validation
 

@@ -167,6 +167,12 @@ def test_schema_violations(mutate, match):
         mp.load_system(doc)
 
 
+def test_overflowing_literal_rejected_at_load():
+    doc = rigid_document(hamiltonian="x1/1e999")
+    with pytest.raises(mp.ConfigError, match=r"hamiltonian: numeric literal '1e999' overflows \(position 3\)"):
+        mp.load_system(doc)
+
+
 def test_phi_without_casimirs_rejected():
     doc = rigid_document(casimirs=[])
     with pytest.raises(mp.ConfigError, match="phi"):
