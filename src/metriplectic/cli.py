@@ -110,16 +110,15 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list, tolerances
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     n = traj.n
     header = ["t"] + [f"x{i + 1}" for i in range(n)] + list(CSV_COLUMNS)
-    fmt = lambda v: f"{v:.17g}"
-    lines = [",".join(header)]
-    diag = traj.diagnostics
-    for i in range(len(traj)):
-        row = [fmt(traj.times[i])] + [fmt(v) for v in traj.states[i]]
-        row += [fmt(v) for v in diag[i]] if diag is not None else ["nan"] * 4
-        lines.append(",".join(row))
+    # "%.17g" % v is the same text as f"{v:.17g}", nan and inf included
+    row = ",".join(["%.17g"] * (n + 1) + ["%.17g" if traj.diagnostics is not None else "nan"] * 4) + "\n"
+    columns = [traj.times, traj.states] + ([traj.diagnostics] if traj.diagnostics is not None else [])
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(traj), 1000):  # blocks bound the memory of the text
+            block = np.column_stack([c[lo:lo + 1000] for c in columns]).tolist()
+            fh.write("".join([row % tuple(values) for values in block]))
 
 
 # ---------------------------------------------------------------------------

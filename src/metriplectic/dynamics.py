@@ -150,6 +150,7 @@ def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], n
     def field(x):
         return np.array(fn(as_state(x, n)))
 
+    field.kernel = (n, fn)  # integrate calls the list-in/tuple-out kernel directly
     return field
 
 
@@ -161,6 +162,7 @@ def diagnostics_function(sys: SystemDefinition) -> Callable[[np.ndarray], tuple]
     def diag(x):
         return fn(as_state(x, n))
 
+    diag.kernel = (n, fn)
     return diag
 
 

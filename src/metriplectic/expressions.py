@@ -23,8 +23,11 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -51,6 +54,7 @@ __all__ = [
     "to_string",
     "to_source",
     "compile_kernels",
+    "exec_source",
     "max_var_index",
     "FUNCTIONS",
 ]
@@ -518,9 +522,28 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str)
         f"def {name}(xs):\n{unpack}" + "".join(f"    {line}\n" for line in body)
         for name, body in bodies.items()
     )
-    namespace = dict(SOURCE_ENV)
-    exec(compile(source, f"<{label}>", "exec"), namespace)
+    namespace = exec_source(source, label, SOURCE_ENV, next(iter(bodies)))
     return {name: _guarded(namespace[name]) for name in bodies}
+
+
+_SOURCE_SERIAL = itertools.count(1)
+_SOURCE_ANCHORS: dict = {}  # linecache file name -> weak reference to a function it defines
+
+
+def exec_source(source: str, label: str, env: Mapping, anchor: str) -> dict:
+    """Execute generated ``source`` in a copy of ``env``; return the namespace.
+
+    The package's one exec site.  The text is registered in :mod:`linecache`
+    as ``<label-N>`` (so tracebacks and :mod:`inspect` show generated lines)
+    until the function ``anchor`` it defines is garbage collected.
+    """
+    filename = f"<{label}-{next(_SOURCE_SERIAL)}>"
+    namespace = dict(env)
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    forget = lambda _: (linecache.cache.pop(filename, None), _SOURCE_ANCHORS.pop(filename, None))
+    _SOURCE_ANCHORS[filename] = weakref.ref(namespace[anchor], forget)
+    return namespace
 
 
 def _guarded(fn: Callable) -> Callable:

@@ -10,17 +10,25 @@ with ``(H, phi(C), entropy production, dependence defect)``; energy
 drift and entropy increases are tracked per step even if the trajectory
 itself is stored at a coarser stride.  Entropy increases are reported,
 never corrected.
+
+Both modes run in a loop emitted from one template per state dimension
+n, over float locals.  It calls the system's compiled kernels directly
+when ``field`` and ``diagnostics`` come from :mod:`dynamics`, and any
+other callable through a thin array adapter; either way it computes the
+bits that :func:`rk4_step` computes on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expressions import EvaluationError
+from .expressions import EvaluationError, exec_source
 
 __all__ = [
     "StepControl",
@@ -167,81 +175,120 @@ def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndar
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _Recorder:
-    def __init__(self, diagnostics, stride: int, entropy_slack: float,
-                 divergence_bound: float, escape_center, escape_radius):
-        self.diag_fn = diagnostics
-        self.stride = stride
-        self.entropy_slack = entropy_slack
-        self.divergence_bound = divergence_bound
-        self.escape_center = escape_center
-        self.escape_radius = escape_radius
-        self.times: list[float] = []
-        self.states: list[np.ndarray] = []
-        self.records: list[tuple] = []
-        self.monitor = MonitorSummary()
-        self._last_entropy = None
+def _loop_source(n: int, adaptive: bool) -> str:
+    """Source of ``run``: the fixed or the adaptive RK4 loop over float locals.
 
-    def observe(self, t: float, x: np.ndarray, accepted_index: int):
-        """Score ``x``, store it on the stride (always for index < 0), return its record."""
-        record = None
-        if self.diag_fn is not None:
-            record = self.diag_fn(x)
-            mon = self.monitor
-            if mon.initial_energy is None:
-                mon.initial_energy = record[0]
-                mon.max_energy_drift = 0.0
-                mon.initial_entropy = record[1]
-                mon.entropy_increase_count = 0
-                mon.max_entropy_increase = 0.0
-            else:
-                drift = abs(record[0] - mon.initial_energy)
-                if drift > mon.max_energy_drift:
-                    mon.max_energy_drift = drift
-                increase = record[1] - self._last_entropy
-                if increase > self.entropy_slack:
-                    mon.entropy_increase_count += 1
-                if increase > mon.max_entropy_increase:
-                    mon.max_entropy_increase = increase
-            self._last_entropy = record[1]
-        if accepted_index % self.stride == 0 or accepted_index < 0:
-            self._store(t, x, record)
-        return record
+    The state is unrolled into ``x1..xn``; ``F`` and ``D`` take a list of n
+    floats and return a tuple.  Each ``rk4`` block is :func:`rk4_step`
+    operation for operation, and the checks and monitors are those
+    documented on :func:`integrate`, written as float comparisons.
+    ``run`` returns ``(status, message, cause, *MonitorSummary fields)``.
+    """
+    ix = range(1, n + 1)
+    vec = lambda p: ", ".join(f"{p}{i}" for i in ix) + ("," if n == 1 else "")
+    lst = lambda p: f"[{vec(p)}]"
+    sup = lambda terms: terms[0] if n == 1 else f"max({', '.join(terms)})"
+    mon = "acc, rej, e0, md, s0, cnt, mi, mer"
 
-    def accept(self, t: float, x: np.ndarray, last: bool) -> bool:
-        """Check, count and observe an accepted step ending at ``(t, x)``;
-        True when the escape guard fires (the escaping state is stored)."""
-        if not np.all(np.isfinite(x)):
-            raise self.divergence(f"state became non-finite at t={t!r}")
-        if np.max(np.abs(x)) > self.divergence_bound:
-            raise self.divergence(f"state exceeded divergence bound {self.divergence_bound:g} at t={t!r}")
-        self.monitor.steps_accepted += 1
-        record = self.observe(t, x, -1 if last else self.monitor.steps_accepted)
-        if self.escape_center is not None and np.linalg.norm(x - self.escape_center) > self.escape_radius:
-            self._store(t, x, record)
-            return True
-        return False
+    def rk4(src, dst, step, t):  # dst = rk4_step(F, src, t, step)
+        axpy = lambda k, a: "[" + ", ".join(f"{src}{i} + {a}*{k}{i}" for i in ix) + "]"
+        return [
+            f"if {step} <= 0: raise ValueError('step size must be > 0')",
+            f"p = 0.5*{step}",
+            "try:",
+            f"    stage = 1; {vec('a')} = F({lst(src)})",
+            f"    stage = 2; {vec('b')} = F({axpy('a', 'p')})",
+            f"    stage = 3; {vec('c')} = F({axpy('b', 'p')})",
+            f"    stage = 4; {vec('d')} = F({axpy('c', step)})",
+            "except EvaluationError as exc:",
+            f"    err = FieldEvaluationError(stage, {t}, exc); err.__cause__ = exc",
+            f"    return 'diverged', str(err), err, {mon}",
+            f"w = {step}/6.0",
+        ] + [f"{dst}{i} = {src}{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
 
-    def divergence(self, message: str) -> DivergenceError:
-        return DivergenceError(message, self.build("diverged"))
+    def accept(last):  # the accepted state x at time tn
+        distance = " + ".join(f"(x{i} - o{i})*(x{i} - o{i})" for i in ix)
+        return [
+            f"if not ({' and '.join(f'abs(x{i}) <= B' for i in ix)}):",
+            f"    return 'diverged', bad_state({lst('x')}, tn, bound), None, {mon}",
+            "acc += 1",
+            "if D is not None:",
+            f"    rec = D({lst('x')}); dr = abs(rec[0] - e0); inc = rec[1] - sl; sl = rec[1]",
+            "    if dr > md: md = dr",
+            "    if inc > slack: cnt += 1",
+            "    if inc > mi: mi = inc",
+            f"out = escaped is not None and {distance} > G and escaped({lst('x')})",
+            f"if (acc % stride == 0 or {last} or out) and tn > tl:",
+            f"    T.append(tn); X.extend({lst('x')}); tl = tn",
+            "    if D is not None: R.extend(rec)",
+            f"if out: return 'escaped', None, None, {mon}",
+        ]
 
-    def _store(self, t, x, record):
-        if self.times and t <= self.times[-1]:
-            return  # final sample already stored by the stride
-        self.times.append(t)
-        self.states.append(np.array(x))
-        if self.diag_fn is not None:
-            self.records.append(record)
+    indent = lambda lines, depth: "".join("    " * depth + line + "\n" for line in lines)
+    head = "def run(F, D, T, X, R, xs, t0, t1, h, stride, slack, bound, escaped, G, os," \
+           " n_steps, abs_tol, rel_tol, max_steps):\n" + indent([
+               f"{vec('x')} = xs; {vec('o')} = os; T.append(t0); X.extend(xs); tl = t0",
+               "acc = rej = 0; e0 = md = s0 = cnt = mi = mer = None",
+               f"B = bound if bound <= {_FLOAT_MAX!r} else {_FLOAT_MAX!r}  # so abs(x) <= B fails on inf and nan",
+               "if D is not None:",
+               f"    rec = D({lst('x')}); e0 = rec[0]; s0 = sl = rec[1]; md = mi = 0.0; cnt = 0; R.extend(rec)",
+           ], 1)
+    if not adaptive:
+        body = indent([
+            "for i in range(1, n_steps + 1):",
+            "    tn = t0 + i * h if i < n_steps else t1",
+            "    hs = tn - (t0 + (i - 1) * h) if i == n_steps else h",
+        ], 1) + indent(rk4("x", "x", "hs", "t0 + (i - 1) * h") + accept("i == n_steps"), 2)
+    else:
+        body = indent([
+            "t = t0; h = min(h, t1 - t0); t_end = t1 - 1e-12 * max(1.0, abs(t1)); mer = 0.0",
+            "while t < t_end:",
+            "    h = min(h, t1 - t); hh = 0.5 * h",
+            "    if acc + rej >= max_steps:",
+            "        raise IntegrationError(f'step budget max_steps={max_steps} exhausted')",
+        ], 1) + indent(rk4("x", "f", "h", "t") + rk4("x", "y", "hh", "t") + rk4("y", "z", "hh", "t + 0.5 * h") + [
+            f"est = {sup([f'abs(f{i} - z{i})' for i in ix])} / 15.0",
+            "if " + " + ".join(f"(f{i} - z{i})*0.0" for i in ix) + " != 0.0:  # an inf or nan difference",
+            f"    return 'diverged', f'non-finite error estimate at t={{t!r}}', None, {mon}",
+            f"tol = abs_tol + rel_tol * {sup([f'abs(x{i})' for i in ix])}",
+            "if est <= tol:",
+            "    tn = min(t + h, t1)",
+            "    if tn == t:",
+            f"        return 'diverged', f'step h={{h!r}} no longer advances t={{t!r}}', None, {mon}",
+            f"    {vec('x')} = {vec('z')}",
+            "    mer = max(mer, est / tol)",
+        ], 2) + indent(accept("tn >= t_end") + ["t = tn"], 3) + indent([
+            "else:",
+            "    rej += 1",
+            "factor = 0.9 * (tol / est) ** 0.2 if est > 0 else 5.0",
+            "h *= min(5.0, max(0.2, factor))",
+        ], 2)
+    return head + body + indent([f"return 'completed', None, None, {mon}"], 1)
 
-    def build(self, status: str) -> Trajectory:
-        diag = np.array(self.records) if self.diag_fn is not None else None
-        return Trajectory(
-            times=np.array(self.times),
-            states=np.array(self.states),
-            diagnostics=diag,
-            status=status,
-            monitor=self.monitor,
-        )
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _bad_state(xs: list, t: float, bound: float) -> str:
+    """Why a state with some ``abs(x) <= B`` false failed: non-finite or beyond ``bound``."""
+    if not all(map(math.isfinite, xs)):
+        return f"state became non-finite at t={t!r}"
+    return f"state exceeded divergence bound {bound:g} at t={t!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def _loop(n: int, adaptive: bool) -> Callable:
+    env = {"EvaluationError": EvaluationError, "FieldEvaluationError": FieldEvaluationError,
+           "IntegrationError": IntegrationError, "bad_state": _bad_state}
+    label = f"rk4-{'adaptive' if adaptive else 'fixed'}-n{n}"
+    return exec_source(_loop_source(n, adaptive), label, env, "run")["run"]
+
+
+def _kernel(fn: Callable, n: int) -> Optional[Callable]:
+    """The list-in/tuple-out kernel that :mod:`dynamics` attaches to its
+    callables as ``fn.kernel = (n, kernel)``, if it takes n floats."""
+    arity, kernel = getattr(fn, "kernel", (0, None))
+    return kernel if arity == n else None
 
 
 def integrate(
@@ -280,65 +327,45 @@ def integrate(
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError(f"initial state must be a finite vector, got {x0!r}")
+    n = len(x)
+    escaped, inside, center = None, 0.0, [0.0] * n
     if escape_center is not None:
         escape_center = np.asarray(escape_center, dtype=float)
         if escape_radius is None or escape_radius <= 0:
             raise ValueError("escape guard needs a positive radius")
+        # exact test, called only beyond a squared radius norm() cannot round across
+        escaped = lambda xs: np.linalg.norm(np.array(xs) - escape_center) > escape_radius
+        center = np.broadcast_to(escape_center, x.shape).tolist()
+        r = escape_radius * (1.0 - 1e-9)
+        inside = min(r * r, _FLOAT_MAX) if escape_radius > 1e-100 else 0.0
 
-    recorder = _Recorder(diagnostics, stride, entropy_slack, divergence_bound, escape_center, escape_radius)
-    recorder.observe(t0, x, 0)
-
+    n_steps = 0
     if control.mode == "fixed":
-        h = control.h
-        span = t1 - t0
-        n_steps = max(1, math.ceil(span / h - 1e-9))
+        n_steps = max(1, math.ceil((t1 - t0) / control.h - 1e-9))
         if n_steps > control.max_steps:
             raise IntegrationError(
-                f"{n_steps} steps of h={h:g} exceed max_steps={control.max_steps}"
+                f"{n_steps} steps of h={control.h:g} exceed max_steps={control.max_steps}"
             )
-        for i in range(1, n_steps + 1):
-            t_next = t0 + i * h if i < n_steps else t1
-            step = t_next - (t0 + (i - 1) * h) if i == n_steps else h
-            try:
-                x = rk4_step(field, x, t0 + (i - 1) * h, step)
-            except FieldEvaluationError as exc:
-                raise recorder.divergence(str(exc)) from exc
-            if recorder.accept(t_next, x, i == n_steps):
-                return recorder.build("escaped")
-        return recorder.build("completed")
 
-    # adaptive: step doubling on RK4
-    t = t0
-    h = min(control.h, t1 - t0)
-    t_end = t1 - 1e-12 * max(1.0, abs(t1))
-    attempts = 0
-    recorder.monitor.max_error_ratio = 0.0
-    while t < t_end:
-        h = min(h, t1 - t)
-        attempts += 1
-        if attempts > control.max_steps:
-            raise IntegrationError(f"step budget max_steps={control.max_steps} exhausted")
-        try:
-            full = rk4_step(field, x, t, h)
-            half = rk4_step(field, x, t, 0.5 * h)
-            double = rk4_step(field, half, t + 0.5 * h, 0.5 * h)
-        except FieldEvaluationError as exc:
-            raise recorder.divergence(str(exc)) from exc
-        est = float(np.max(np.abs(full - double))) / 15.0
-        if not math.isfinite(est):
-            raise recorder.divergence(f"non-finite error estimate at t={t!r}")
-        tol = control.abs_tol + control.rel_tol * float(np.max(np.abs(x)))
-        if est <= tol:
-            t_next = min(t + h, t1)
-            if t_next == t:
-                raise recorder.divergence(f"step h={h!r} no longer advances t={t!r}")
-            x = double
-            recorder.monitor.max_error_ratio = max(recorder.monitor.max_error_ratio, est / tol)
-            if recorder.accept(t_next, x, t_next >= t_end):
-                return recorder.build("escaped")
-            t = t_next
-        else:
-            recorder.monitor.steps_rejected += 1
-        factor = 0.9 * (tol / est) ** 0.2 if est > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return recorder.build("completed")
+    def adapter(xs):  # any other field callable; a scalar broadcasts as it does in rk4_step
+        k = np.asarray(field(np.array(xs)), dtype=float)
+        return k.tolist() if k.ndim else [float(k)] * n
+
+    F = _kernel(field, n) or adapter
+    D = None if diagnostics is None else _kernel(diagnostics, n) or (lambda xs: diagnostics(np.array(xs)))
+    times, states, records = [], [], []
+    status, message, cause, *counts = _loop(n, control.mode == "adaptive")(
+        F, D, times, states, records, x.tolist(), t0, t1, control.h, stride, entropy_slack,
+        divergence_bound, escaped, inside, center, n_steps, control.abs_tol, control.rel_tol,
+        control.max_steps,
+    )
+    traj = Trajectory(
+        times=np.array(times),
+        states=np.array(states).reshape(-1, n),
+        diagnostics=None if D is None else np.array(records).reshape(len(times), -1),
+        status=status,
+        monitor=MonitorSummary(*counts),
+    )
+    if message is not None:
+        raise DivergenceError(message, traj) from cause
+    return traj

@@ -41,12 +41,14 @@ DEFAULT_FD_SCALE = 1e-4
 
 
 def augmented_energy(sys: SystemDefinition) -> ScalarField:
-    """``H + phi(C_1, ..., C_k)`` with the chain-rule gradient."""
-    entropy = compose_entropy(sys)
-    h = sys.hamiltonian
-    value = ex.add(h.value, entropy.value)
-    gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
-    return ScalarField(sys.n, value, gradient)
+    """``H + phi(C_1, ..., C_k)`` with the chain-rule gradient, built once per system."""
+    if sys._augmented_energy is None:
+        entropy = compose_entropy(sys)
+        h = sys.hamiltonian
+        value = ex.add(h.value, entropy.value)
+        gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
+        sys._augmented_energy = ScalarField(sys.n, value, gradient)
+    return sys._augmented_energy
 
 
 def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:

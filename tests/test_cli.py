@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metriplectic as mp
 from metriplectic import cli, dynamics
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -237,6 +238,30 @@ def test_csv_17_significant_digits_round_trip(tmp_path):
             value = float(cell)  # every cell reparses to the exact double
             assert np.isfinite(value)
             assert f"{value:.17g}" == cell
+
+
+def _fstring_csv(traj):
+    """The CSV text written value by value with f"{v:.17g}"."""
+    header = ["t"] + [f"x{i + 1}" for i in range(traj.n)] + list(cli.CSV_COLUMNS)
+    lines = [",".join(header)]
+    for i in range(len(traj)):
+        diag = [f"{v:.17g}" for v in traj.diagnostics[i]] if traj.diagnostics is not None else ["nan"] * 4
+        lines.append(",".join([f"{traj.times[i]:.17g}"] + [f"{v:.17g}" for v in traj.states[i]] + diag))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_edge_values_match_fstring_formatting(tmp_path):
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1 / 3])
+    rng = np.random.default_rng(8)
+    rows = 2345  # three blocks of the writer, the last one partial
+    times = np.arange(rows) * 0.1 - 5.0
+    states, diag = rng.choice(edge, (rows, 3)), rng.choice(edge, (rows, 4))
+    states[:2], diag[:2] = edge[:6].reshape(2, 3), edge[2:10].reshape(2, 4)
+    for traj in (mp.Trajectory(times, states, diag), mp.Trajectory(times, states)):
+        path = tmp_path / "trajectory.csv"
+        cli._write_trajectory_csv(path, traj)
+        assert path.read_bytes() == _fstring_csv(traj).encode()
+    assert path.read_text().splitlines()[1].endswith(",nan,nan,nan,nan")
 
 
 def test_usage_error_exit_code():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import metriplectic as mp
+from metriplectic import expressions as ex
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,6 +50,31 @@ def test_augmented_energy_without_entropy_equals_hamiltonian():
     for _ in range(20):
         p = rng.uniform(-2, 2, 3)
         assert field.value_at(p) == sys_def.hamiltonian.value_at(p)
+
+
+def test_augmented_energy_is_built_once_per_system():
+    sys_def = mp.rigid_body_system(mp.RigidBodyParams(5.0, 3.0, 2.0, 2.0))
+    x_e = [2.0, 0.0, 0.0]
+    report = mp.lyapunov_report(sys_def, x_e)
+    field = mp.augmented_energy(sys_def)
+    assert mp.augmented_energy(sys_def) is field
+    # the cached field computes what a freshly assembled one does, and the report is built from it
+    h, entropy = sys_def.hamiltonian, mp.compose_entropy(sys_def)
+    fresh = mp.ScalarField(3, ex.add(h.value, entropy.value), [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(3)])
+    for p in mp.sample_box(3, (-2.0, 2.0), 50, seed=4):
+        assert field.value_at(p) == fresh.value_at(p)
+        assert np.array_equal(field.gradient_at(p), fresh.gradient_at(p))
+    assert np.array_equal(report.hessian, mp.hessian(fresh, x_e))
+    assert report.lyapunov_offset == fresh.value_at(x_e)
+    again = mp.lyapunov_report(sys_def, x_e)
+    assert np.array_equal(again.eigenvalues, report.eigenvalues) and again.grad_norm == report.grad_norm
+    # lasalle_diagnostics gives the same report with the cache filled as on a system built afresh
+    traj = mp.integrate(mp.field_function(sys_def, "metriplectic"), [2.02, 0.1, -0.06], (0.0, 5.0),
+                        mp.StepControl(h=1e-2))
+    cached = mp.lasalle_diagnostics(traj, sys_def, x_e)
+    new = mp.lasalle_diagnostics(traj, mp.rigid_body_system(mp.RigidBodyParams(5.0, 3.0, 2.0, 2.0)), x_e)
+    assert (cached.monotone_violations, cached.worst_increase, cached.tail_max_defect) == (
+        new.monotone_violations, new.worst_increase, new.tail_max_defect)
 
 
 # ---------------------------------------------------------------------------
