@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import SystemDefinition, as_state, compose_entropy
+from .geometry import KernelFunction, SystemDefinition, as_state, compose_entropy
 
 __all__ = [
     "DependenceReport",
@@ -144,26 +144,12 @@ def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], n
     """Fast state -> derivative callable for ``kind`` in {conservative, metriplectic}."""
     if kind not in ("conservative", "metriplectic"):
         raise ValueError(f"unknown field kind {kind!r}")
-    fn = _compiled(sys)[kind]
-    n = sys.n
-
-    def field(x):
-        return np.array(fn(as_state(x, n)))
-
-    field.kernel = (n, fn)  # integrate calls the list-in/tuple-out kernel directly
-    return field
+    return KernelFunction(sys.n, _compiled(sys)[kind], np.array)
 
 
 def diagnostics_function(sys: SystemDefinition) -> Callable[[np.ndarray], tuple]:
     """Per-state record ``(H, phi(C), entropy production, dependence defect)``."""
-    fn = _compiled(sys)["diagnostics"]
-    n = sys.n
-
-    def diag(x):
-        return fn(as_state(x, n))
-
-    diag.kernel = (n, fn)
-    return diag
+    return KernelFunction(sys.n, _compiled(sys)["diagnostics"], tuple)
 
 
 def conservative_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:

@@ -12,7 +12,7 @@ evaluation and check here runs on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +83,22 @@ def as_state(x: Sequence[float], n: int) -> list:
     if xs.shape != (n,):
         raise ValueError(f"state has shape {xs.shape}, expected ({n},)")
     return xs.tolist()
+
+
+class KernelFunction:
+    """``x -> wrap(kernel(as_state(x, n)))`` for a list-in/tuple-out kernel.
+
+    :func:`integrators.integrate` recognises this type and calls ``kernel``
+    on its float lists directly.
+    """
+
+    __slots__ = ("n", "kernel", "wrap")
+
+    def __init__(self, n: int, kernel: Callable, wrap: Callable):
+        self.n, self.kernel, self.wrap = n, kernel, wrap
+
+    def __call__(self, x):
+        return self.wrap(self.kernel(as_state(x, self.n)))
 
 
 def _compile(arity: int, label: str, **results) -> list:

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expressions import EvaluationError, exec_source
+from .geometry import KernelFunction
 
 __all__ = [
     "StepControl",
@@ -207,7 +208,6 @@ def _loop_source(n: int, adaptive: bool) -> str:
         ] + [f"{dst}{i} = {src}{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
 
     def accept(last):  # the accepted state x at time tn
-        distance = " + ".join(f"(x{i} - o{i})*(x{i} - o{i})" for i in ix)
         return [
             f"if not ({' and '.join(f'abs(x{i}) <= B' for i in ix)}):",
             f"    return 'diverged', bad_state({lst('x')}, tn, bound), None, {mon}",
@@ -217,7 +217,7 @@ def _loop_source(n: int, adaptive: bool) -> str:
             "    if dr > md: md = dr",
             "    if inc > slack: cnt += 1",
             "    if inc > mi: mi = inc",
-            f"out = escaped is not None and {distance} > G and escaped({lst('x')})",
+            f"out = escaped is not None and escaped({lst('x')})",
             f"if (acc % stride == 0 or {last} or out) and tn > tl:",
             f"    T.append(tn); X.extend({lst('x')}); tl = tn",
             "    if D is not None: R.extend(rec)",
@@ -225,9 +225,9 @@ def _loop_source(n: int, adaptive: bool) -> str:
         ]
 
     indent = lambda lines, depth: "".join("    " * depth + line + "\n" for line in lines)
-    head = "def run(F, D, T, X, R, xs, t0, t1, h, stride, slack, bound, escaped, G, os," \
+    head = "def run(F, D, T, X, R, xs, t0, t1, h, stride, slack, bound, escaped," \
            " n_steps, abs_tol, rel_tol, max_steps):\n" + indent([
-               f"{vec('x')} = xs; {vec('o')} = os; T.append(t0); X.extend(xs); tl = t0",
+               f"{vec('x')} = xs; T.append(t0); X.extend(xs); tl = t0",
                "acc = rej = 0; e0 = md = s0 = cnt = mi = mer = None",
                f"B = bound if bound <= {_FLOAT_MAX!r} else {_FLOAT_MAX!r}  # so abs(x) <= B fails on inf and nan",
                "if D is not None:",
@@ -285,10 +285,8 @@ def _loop(n: int, adaptive: bool) -> Callable:
 
 
 def _kernel(fn: Callable, n: int) -> Optional[Callable]:
-    """The list-in/tuple-out kernel that :mod:`dynamics` attaches to its
-    callables as ``fn.kernel = (n, kernel)``, if it takes n floats."""
-    arity, kernel = getattr(fn, "kernel", (0, None))
-    return kernel if arity == n else None
+    """The list-in/tuple-out kernel of a :class:`KernelFunction` over n floats."""
+    return fn.kernel if type(fn) is KernelFunction and fn.n == n else None
 
 
 def integrate(
@@ -328,16 +326,12 @@ def integrate(
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError(f"initial state must be a finite vector, got {x0!r}")
     n = len(x)
-    escaped, inside, center = None, 0.0, [0.0] * n
+    escaped = None
     if escape_center is not None:
         escape_center = np.asarray(escape_center, dtype=float)
         if escape_radius is None or escape_radius <= 0:
             raise ValueError("escape guard needs a positive radius")
-        # exact test, called only beyond a squared radius norm() cannot round across
         escaped = lambda xs: np.linalg.norm(np.array(xs) - escape_center) > escape_radius
-        center = np.broadcast_to(escape_center, x.shape).tolist()
-        r = escape_radius * (1.0 - 1e-9)
-        inside = min(r * r, _FLOAT_MAX) if escape_radius > 1e-100 else 0.0
 
     n_steps = 0
     if control.mode == "fixed":
@@ -356,7 +350,7 @@ def integrate(
     times, states, records = [], [], []
     status, message, cause, *counts = _loop(n, control.mode == "adaptive")(
         F, D, times, states, records, x.tolist(), t0, t1, control.h, stride, entropy_slack,
-        divergence_bound, escaped, inside, center, n_steps, control.abs_tol, control.rel_tol,
+        divergence_bound, escaped, n_steps, control.abs_tol, control.rel_tol,
         control.max_steps,
     )
     traj = Trajectory(

@@ -8,6 +8,7 @@ samples, diagnostics and monitors on success, and exception type,
 message and partial trajectory on failure.
 """
 
+import functools
 import gc
 import inspect
 import linecache
@@ -19,6 +20,7 @@ import pytest
 
 import metriplectic as mp
 from metriplectic import integrators
+from metriplectic.geometry import KernelFunction
 from reference_stepper import reference_integrate
 from test_compiled_path import E3_DOCUMENT
 
@@ -150,16 +152,45 @@ def test_kernel_of_another_dimension_is_not_used():
         mp.integrate(field, [1.0, 0.0], (0.0, 1.0))
 
 
+def test_only_kernel_functions_bind_their_kernel():
+    # callables of any other type go through the adapter, whatever attributes they carry
+    rigid = mp.rigid_body_system()
+    field = mp.field_function(rigid, "metriplectic")
+    never = lambda xs: pytest.fail("a kernel attribute was called")
+
+    class Model:
+        kernel = (3, never)
+
+        def __call__(self, x):
+            return field(x)
+
+    class Named:
+        kernel = "rigid body"
+
+        def __call__(self, x):
+            return field(x)
+
+    class Scaled(KernelFunction):
+        def __call__(self, x):
+            return 2.0 * super().__call__(x)
+
+    @functools.wraps(field)
+    def doubled(x):
+        return 2.0 * field(x)
+
+    doubled.kernel = (3, never)
+    x0, span, control = [1.01, 0.05, -0.03], (0.0, 1.0), mp.StepControl(h=0.05)
+    for f in (Model(), Named(), Scaled(3, field.kernel, np.array), doubled):
+        assert integrators._kernel(f, 3) is None
+        assert_same_run(mp.integrate(f, x0, span, control), reference_integrate(f, x0, span, control))
+
+
 # ---------------------------------------------------------------------------
 # failure parity, both bindings
 
 def _marked(kernel, n):
-    """A field callable carrying a list-in/tuple-out kernel the way dynamics marks them."""
-    def field(x):
-        return np.array(kernel(np.asarray(x, dtype=float).tolist()))
-
-    field.kernel = (n, kernel)
-    return field
+    """A field callable around a list-in/tuple-out kernel, of the type dynamics returns."""
+    return KernelFunction(n, kernel, np.array)
 
 
 def test_non_finite_state_parity():
