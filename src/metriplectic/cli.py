@@ -66,7 +66,7 @@ def _resolve_system(args, verification: Optional[VerificationPolicy] = None) -> 
     if args.config:
         try:
             return load_system_file(args.config, verification)
-        except (ConfigError, CasimirError, OSError) as exc:
+        except (ConfigError, CasimirError, EvaluationError, OSError) as exc:
             raise _CliError(f"cannot load {args.config}: {exc}") from exc
     name = args.system
     if name not in BUILTIN_SYSTEMS:
@@ -250,6 +250,11 @@ def _cmd_simulate(args) -> int:
     guard_center = _parse_vector(args.guard_center, "--guard-center") if args.guard_center else None
     if guard_center is not None and len(guard_center) != sys_def.n:
         raise _CliError("--guard-center dimension mismatch")
+    x_e = None
+    if args.analyze:
+        x_e = _parse_vector(args.x_e, "--x-e") if args.x_e else _default_equilibrium(args, sys_def)
+        if len(x_e) != sys_def.n:
+            raise _CliError("--x-e dimension mismatch")
 
     csv_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "simulate_summary.json"
@@ -280,9 +285,6 @@ def _cmd_simulate(args) -> int:
 
     analysis = None
     if args.analyze and traj.status == "completed":
-        x_e = _parse_vector(args.x_e, "--x-e") if args.x_e else _default_equilibrium(args, sys_def)
-        if len(x_e) != sys_def.n:
-            raise _CliError("--x-e dimension mismatch")
         analysis = lasalle_diagnostics(
             traj, sys_def, x_e, tail_fraction=args.tail_fraction, defect_tol=args.defect_tol
         )
@@ -375,7 +377,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return exc.code
-    except (ConfigError, CasimirError, ValueError) as exc:
+    except (ConfigError, CasimirError, EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import SystemDefinition, compose_entropy, poisson_matrix
+from .geometry import SystemDefinition, _replaces, compose_entropy, poisson_matrix
 
 __all__ = [
     "DissipationMatrix",
@@ -100,14 +100,8 @@ class ConditionReport:
     worst_points: dict = None  # condition name -> point where the max was attained
 
     def failed_conditions(self, tol: float) -> list:
-        names = []
-        if self.m1_max > tol:
-            names.append("m1")
-        if self.m2_max > tol:
-            names.append("m2")
-        if self.m3_max_positive > tol:
-            names.append("m3")
-        return names
+        maxima = {"m1": self.m1_max, "m2": self.m2_max, "m3": self.m3_max_positive}
+        return [name for name, value in maxima.items() if not value <= tol]  # nan fails
 
 
 def verify_metriplectic_conditions(
@@ -117,7 +111,8 @@ def verify_metriplectic_conditions(
 ) -> ConditionReport:
     """Check the three defining conditions at every point of ``points``.
 
-    Empty maxima (k = 0 systems) count as 0.  ``m2`` multiplies the dense
+    Empty maxima (k = 0 systems) count as 0; the first residual that is
+    not finite is reported and fails its condition.  ``m2`` multiplies the dense
     matrix against the gradient so the cancellation of the entrywise
     construction is exercised honestly rather than being zero by
     algebraic identity.
@@ -127,9 +122,8 @@ def verify_metriplectic_conditions(
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
     entropy = compose_entropy(sys)
-    m1 = 0.0
+    m1 = m3 = -math.inf  # raised by the first point; left at that for k = 0
     m2 = 0.0
-    m3 = -math.inf if sys.k > 0 else 0.0
     worst = {"m1": None, "m2": None, "m3": None}
     for p in points:
         try:
@@ -138,23 +132,25 @@ def verify_metriplectic_conditions(
             u = entropy.gradient_at(p)
             for c in sys.casimirs:
                 residual = float(np.max(np.abs(pi @ c.gradient_at(p))))
-                if residual > m1 or worst["m1"] is None:
-                    m1 = max(m1, residual)
+                if _replaces(residual, m1):
+                    m1 = residual
                     worst["m1"] = np.asarray(p, dtype=float)
         except ex.EvaluationError as exc:
             raise ex.EvaluationError(
                 f"condition check failed at {np.asarray(p).tolist()}: {exc}"
             ) from exc
         g_residual = float(np.max(np.abs(build_dissipation_matrix(g).matrix @ g)))
-        if g_residual >= m2:
+        if _replaces(g_residual, m2, ties=True):
             m2 = g_residual
             worst["m2"] = np.asarray(p, dtype=float)
         if sys.k > 0:
             production = entropy_production(g, u)
-            if production >= m3:
+            if _replaces(production, m3, ties=True):
                 m3 = production
                 worst["m3"] = np.asarray(p, dtype=float)
-    m3_pos = max(0.0, m3) if sys.k > 0 else 0.0
+    if sys.k == 0:
+        m1 = m3 = 0.0
+    m3_pos = m3 if not m3 <= 0.0 else 0.0  # the positive part; nan stays nan
     passed = m1 <= tol and m2 <= tol and m3_pos <= tol
     return ConditionReport(
         m1_max=m1, m2_max=m2, m3_max_positive=m3_pos, passed=passed, worst_points=worst

@@ -16,9 +16,11 @@ is the scale-invariant proxy used to measure distance from that set.
 
 Field evaluation is compiled: the component formulas are assembled once
 per system into plain Python arithmetic (shared subterms hoisted into
-locals) so that long integrations stay cheap.  The equilibrium analysis
-reads grad H and grad phi(C) from the compiled scalar fields of
-:mod:`geometry`.
+locals) so that long integrations stay cheap.  The lines for u come from
+the chain-rule trees that :func:`geometry.compose_entropy` also builds
+from, so its finite-difference check covers the gradient the kernels
+run.  The equilibrium analysis reads grad H and grad phi(C) from the
+compiled scalar fields of :mod:`geometry`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import KernelFunction, SystemDefinition, as_state, compose_entropy
+from .geometry import KernelFunction, SystemDefinition, _chain_rule, as_state, compose_entropy
 
 __all__ = [
     "DependenceReport",
@@ -73,28 +75,6 @@ def _xi_pi_sources(sys: SystemDefinition, names) -> list[str]:
     return rows
 
 
-def _entropy_gradient_lines(sys: SystemDefinition, names) -> list[str]:
-    """Lines computing u = grad phi(C) via hoisted c_l and phi-partials f_l.
-
-    This repeats the chain rule of :func:`geometry.compose_entropy` so that
-    each Casimir is evaluated once per call, not once per component.
-    """
-    lines = []
-    cnames = [f"c{l + 1}" for l in range(sys.k)]
-    for l, c in enumerate(sys.casimirs):
-        lines.append(f"c{l + 1} = {ex.to_source(c.value, names)}")
-    for l in range(sys.k):
-        partial = ex.differentiate(sys.phi, l + 1)
-        lines.append(f"f{l + 1} = {ex.to_source(partial, cnames)}")
-    for i in range(sys.n):
-        terms = []
-        for l, c in enumerate(sys.casimirs):
-            gsrc = ex.to_source(c.gradient[i], names)
-            terms.append(f"f{l + 1}*{gsrc}")
-        lines.append(f"u{i + 1} = " + " + ".join(terms))
-    return lines
-
-
 def _generate(sys: SystemDefinition) -> dict:
     """Bodies of the ``conservative``, ``metriplectic`` and ``diagnostics`` kernels."""
     n, k = sys.n, sys.k
@@ -109,13 +89,18 @@ def _generate(sys: SystemDefinition) -> dict:
     if k == 0:
         return {"conservative": conservative, "metriplectic": conservative,
                 "diagnostics": [hval, "return (hval, 0.0, 0.0, 0.0)"]}
-    grad_hu = grad_h + _entropy_gradient_lines(sys, names)
-    products = [f"hu = {dot('g', 'u')}", f"hh = {dot('g', 'g')}"]
+    # hoist each Casimir and phi-partial into a local, then u = grad phi(C)
+    phi, partials, gradient = _chain_rule(sys)
     cnames = [f"c{l + 1}" for l in range(k)]
+    unames = names + [f"f{l + 1}" for l in range(k)]
+    grad_hu = grad_h + [f"c{l + 1} = {ex.to_source(c.value, names)}" for l, c in enumerate(sys.casimirs)]
+    grad_hu += [f"f{l + 1} = {ex.to_source(f, cnames)}" for l, f in enumerate(partials)]
+    grad_hu += [f"u{i + 1} = {ex.to_source(u, unames)}" for i, u in enumerate(gradient)]
+    products = [f"hu = {dot('g', 'u')}", f"hh = {dot('g', 'g')}"]
     return {
         "conservative": conservative,
         "metriplectic": grad_hu + products + [tuple_of(f"{xi_pi[i]} + hu*g{i + 1} - hh*u{i + 1}" for i in range(n))],
-        "diagnostics": [hval] + grad_hu + [f"phival = {ex.to_source(sys.phi, cnames)}"] + products + [
+        "diagnostics": [hval] + grad_hu + [f"phival = {ex.to_source(phi, cnames)}"] + products + [
             f"uu = {dot('u', 'u')}",
             "sdot = hu*hu - hh*uu",
             "denom = hh*uu",
@@ -134,7 +119,7 @@ def _generate(sys: SystemDefinition) -> dict:
 
 def _compiled(sys: SystemDefinition) -> dict:
     if sys._compiled is None:
-        # touching compose_entropy first runs its construction-time checks
+        # compose_entropy checks, by finite differences, the chain rule the kernels emit
         compose_entropy(sys)
         sys._compiled = ex.compile_kernels(sys.n, _generate(sys), f"{sys.name or 'system'}-dynamics")
     return sys._compiled

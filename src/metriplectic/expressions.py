@@ -472,6 +472,7 @@ SOURCE_ENV: dict[str, Callable] = {
     "_ln": math.log,
     "_sqrt": math.sqrt,
     "_pow": _power,
+    "EvaluationError": EvaluationError,
 }
 
 
@@ -514,16 +515,18 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str)
 
     A body is a list of statement lines, ending in a ``return``, over the
     locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
-    run with :data:`SOURCE_ENV` in scope and are wrapped so that a math
-    error inside one surfaces as :class:`EvaluationError` naming ``xs``.
+    run with :data:`SOURCE_ENV` in scope, and each maps a math error raised
+    inside it to :class:`EvaluationError` naming ``xs``.
     """
-    unpack = "".join(f"    x{i + 1} = xs[{i}]\n" for i in range(arity))
+    unpack = "".join(f"        x{i + 1} = xs[{i}]\n" for i in range(arity))
     source = "".join(
-        f"def {name}(xs):\n{unpack}" + "".join(f"    {line}\n" for line in body)
+        f"def {name}(xs):\n    try:\n{unpack}" + "".join(f"        {line}\n" for line in body)
+        + "    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:\n"
+        + '        raise EvaluationError(f"{exc} at x={xs}") from exc\n'
         for name, body in bodies.items()
     )
     namespace = exec_source(source, label, SOURCE_ENV, next(iter(bodies)))
-    return {name: _guarded(namespace[name]) for name in bodies}
+    return {name: namespace[name] for name in bodies}
 
 
 _SOURCE_SERIAL = itertools.count(1)
@@ -544,16 +547,6 @@ def exec_source(source: str, label: str, env: Mapping, anchor: str) -> dict:
     forget = lambda _: (linecache.cache.pop(filename, None), _SOURCE_ANCHORS.pop(filename, None))
     _SOURCE_ANCHORS[filename] = weakref.ref(namespace[anchor], forget)
     return namespace
-
-
-def _guarded(fn: Callable) -> Callable:
-    def kernel(xs):
-        try:
-            return fn(xs)
-        except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{exc} at x={xs}") from exc
-
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +636,7 @@ class _Parser:
         while self.peek().kind == "OP" and self.peek().value in "+-":
             op = self.advance().value
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = add(node, rhs) if op == "+" else sub(node, rhs)
         return node
 
     def term(self) -> Expression:
@@ -651,7 +644,7 @@ class _Parser:
         while self.peek().kind == "OP" and self.peek().value in "*/":
             op = self.advance().value
             rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = mul(node, rhs) if op == "*" else div(node, rhs)
         return node
 
     def unary(self) -> Expression:
@@ -660,7 +653,7 @@ class _Parser:
             self.advance()
             self._enter(tok.pos)
             try:
-                return Neg(self.unary())
+                return neg(self.unary())
             finally:
                 self.depth -= 1
         return self.power()
@@ -670,7 +663,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.value == "^":
             self.advance()
-            return Pow(base, self.unary())
+            return power(base, self.unary())
         return base
 
     def atom(self) -> Expression:
@@ -691,7 +684,7 @@ class _Parser:
             closer = self.advance()
             if not (closer.kind == "OP" and closer.value == ")"):
                 raise ExpressionSyntaxError("expected ')'", closer.pos)
-            return Fun(tok.value, arg)
+            return fun(tok.value, arg)
         if tok.kind == "OP" and tok.value == "(":
             self._enter(tok.pos)
             try:
@@ -724,16 +717,5 @@ def parse(text: str, arity: int, variable_prefix: str = "x") -> Expression:
     trailing = parser.peek()
     if trailing.kind != "END":
         raise ExpressionSyntaxError(f"unexpected token {trailing.value!r}", trailing.pos)
-    return _fold(tree)
+    return tree
 
-
-def _fold(e: Expression) -> Expression:
-    """Rebuild through the smart constructors (folds constant subtrees)."""
-    if isinstance(e, (Num, Var)):
-        return e
-    if isinstance(e, Neg):
-        return neg(_fold(e.arg))
-    if isinstance(e, Fun):
-        return fun(e.name, _fold(e.arg))
-    ctor = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: power}[type(e)]
-    return ctor(_fold(e.left), _fold(e.right))

@@ -11,6 +11,7 @@ evaluation and check here runs on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -217,6 +218,18 @@ class ScalarField:
                     )
 
 
+def _replaces(value: float, worst: float, ties: bool = False) -> bool:
+    """Whether residual ``value`` becomes the new ``worst`` of a sample.
+
+    A larger value does (an equal one too with ``ties``), and so does nan;
+    a nan or +inf ``worst`` stays, so the first non-finite residual is the
+    one reported and the check fails on it.
+    """
+    if worst != worst or worst == math.inf:
+        return False
+    return not (value < worst if ties else value <= worst)
+
+
 @dataclass(frozen=True)
 class CasimirReport:
     max_residual: float
@@ -232,9 +245,9 @@ def verify_casimir(
 ) -> CasimirReport:
     """Certify ``Pi(x) grad c(x) = 0`` by sampling.
 
-    Returns the worst sup-norm residual over the points; passes iff it
-    is <= ``tol``.  Evaluation failures are re-raised with the offending
-    point attached.
+    Returns the worst sup-norm residual over the points (the first one
+    that is not finite, if any); passes iff it is <= ``tol``.  Evaluation
+    failures are re-raised with the offending point attached.
     """
     if len(points) == 0:
         raise ValueError("at least one sample point is required")
@@ -251,7 +264,7 @@ def verify_casimir(
             raise ex.EvaluationError(
                 f"casimir residual evaluation failed at {np.asarray(p).tolist()}: {exc}"
             ) from exc
-        if residual > worst:
+        if _replaces(residual, worst):
             worst = residual
             worst_point = np.asarray(p, dtype=float)
     return CasimirReport(max_residual=worst, passed=worst <= tol, worst_point=worst_point)
@@ -316,32 +329,45 @@ class SystemDefinition:
                     raise CasimirError(idx, report.max_residual, report.worst_point, verification.tolerance)
 
 
+def _chain_rule(sys: SystemDefinition) -> tuple:
+    """``grad phi(C) = sum_l (d phi / d s_l)(C) grad C_l`` over placeholders.
+
+    Returns ``(phi, partials, gradient)``: phi and its partials f_l over
+    ``s_l``, which stand for the Casimir values ``c_l = C_l(x)``, and the
+    components ``u_i = sum_l f_l * d C_l / d x_i`` over ``x1..xn`` and
+    ``Var(n + l, "f")`` for f_l.  A term whose Casimir derivative is
+    identically zero is dropped.  For k = 0 phi and every u_i are zero.
+    """
+    n = sys.n
+    phi = sys.phi if sys.k else ex.Num(0.0)
+    partials = [ex.differentiate(phi, l + 1) for l in range(sys.k)]
+    gradient = []
+    for i in range(n):
+        total = ex.Num(0.0)
+        for l, c in enumerate(sys.casimirs):
+            total = ex.add(total, ex.mul(ex.Var(n + l + 1, "f"), c.gradient[i]))
+        gradient.append(total)
+    return phi, partials, gradient
+
+
 def compose_entropy(sys: SystemDefinition) -> ScalarField:
     """The entropy function x -> phi(C_1(x), ..., C_k(x)) as a ScalarField.
 
-    The gradient is assembled by the chain rule,
-    ``sum_i (d phi / d s_i)(C(x)) * grad C_i(x)``.  Since each C_i is a
-    Casimir, the composition is one as well.  For k = 0 the zero field is
-    returned (the dynamics then has no dissipative part).
+    The trees of :func:`_chain_rule`, the ones the dynamics kernels are
+    generated from, with C_l substituted for s_l and the partials for f_l;
+    building the field checks that gradient against finite differences.
+    Since each C_i is a Casimir, the composition is one as well.  For k = 0
+    the zero field is returned (the dynamics then has no dissipative part).
     """
-    if sys._entropy_field is not None:
-        return sys._entropy_field
-    n = sys.n
-    if sys.k == 0:
-        zero = ex.Num(0.0)
-        out = ScalarField(n, zero, [zero] * n)
-    else:
-        mapping = {i + 1: c.value for i, c in enumerate(sys.casimirs)}
-        value = ex.substitute(sys.phi, mapping)
-        partials = [
-            ex.substitute(ex.differentiate(sys.phi, l + 1), mapping) for l in range(sys.k)
-        ]
-        gradient = []
-        for i in range(n):
-            total = ex.Num(0.0)
-            for l in range(sys.k):
-                total = ex.add(total, ex.mul(partials[l], sys.casimirs[l].gradient[i]))
-            gradient.append(total)
-        out = ScalarField(n, value, gradient)
-    sys._entropy_field = out
-    return out
+    if sys._entropy_field is None:
+        n = sys.n
+        phi, partials, gradient = _chain_rule(sys)
+        casimirs = {l + 1: c.value for l, c in enumerate(sys.casimirs)}
+        # x_i -> x_i rebuilds the C_l gradients through the smart constructors,
+        # which gives back every tree that parse and differentiate build
+        mapping = {i: ex.Var(i) for i in range(1, n + 1)}
+        mapping.update({n + l + 1: ex.substitute(f, casimirs) for l, f in enumerate(partials)})
+        sys._entropy_field = ScalarField(
+            n, ex.substitute(phi, casimirs), [ex.substitute(u, mapping) for u in gradient]
+        )
+    return sys._entropy_field

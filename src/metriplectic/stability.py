@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .dynamics import conservative_field, diagnostics_function
+from .dynamics import _compiled, conservative_field
 from .geometry import ScalarField, SystemDefinition, compose_entropy
 from .integrators import Trajectory
 
@@ -174,8 +174,8 @@ def lasalle_diagnostics(
         entropy = traj.column("phi_c")
         defects = traj.column("dependence_defect")
     else:
-        diag = diagnostics_function(sys)
-        records = np.array([diag(s) for s in traj.states])
+        diag = _compiled(sys)["diagnostics"]
+        records = np.array([diag(s) for s in traj.states.tolist()])
         energy, entropy, defects = records[:, 0], records[:, 1], records[:, 3]
 
     lyap = energy + entropy - offset

@@ -226,6 +226,51 @@ def test_simulate_config_analyze_needs_xe(tmp_path):
     assert code == 0
 
 
+def test_diverging_run_with_unusable_xe_stops_before_integrating(tmp_path):
+    path = write_doc(tmp_path, "divergent.json", diverging_doc())
+    for extra in ([], ["--x-e", "0,0,0"]):
+        out = tmp_path / f"out{len(extra)}"
+        code = run(["simulate", "--config", str(path), "--x0", "0,0", "--t1", "2", "--analyze"] + extra, out)
+        assert code == 2
+        assert not (out / "trajectory.csv").exists()
+
+
+def rigid_doc(casimir, phi):
+    return {
+        "dimension": 3,
+        "poisson": [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]],
+        "hamiltonian": "x1^2/6 + x2^2/4 + x3^2/2",
+        "casimirs": [casimir],
+        "phi": phi,
+    }
+
+
+@pytest.mark.parametrize("casimir, phi, args, message", [
+    ("sqrt(x1)", "s1", ["equilibrium", "--point", "1,0,0"], "error: cannot load "),
+    ("sqrt(x1)", "s1", ["simulate", "--x0", "1,0,0", "--t1", "0.01"], "error: cannot load "),
+    ("(x1^2 + x2^2 + x3^2)/2", "ln(s1)", ["equilibrium", "--point", "0,0,0"],
+     "error: float division by zero at x=[0.0, 0.0, 0.0]"),
+    ("(x1^2 + x2^2 + x3^2)/2", "ln(s1)",
+     ["simulate", "--x0", "1,0.1,0", "--t1", "0.01", "--analyze", "--x-e", "0,0,0"],
+     "error: math domain error at x=[0.0, 0.0, 0.0]"),
+])
+def test_evaluation_failures_are_usage_errors(tmp_path, capsys, casimir, phi, args, message):
+    path = write_doc(tmp_path, "doc.json", rigid_doc(casimir, phi))
+    code = run(args[:1] + ["--config", str(path)] + args[1:], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(message) and "Traceback" not in err
+
+
+def test_verify_nan_casimir_config_fails(tmp_path):
+    doc = rigid_doc("x1*1e300*1e300 - x1*1e300*1e300 + (x1^2 + x2^2 + x3^2)/2", "(s1 - 0.5)^2 - s1/3")
+    path = write_doc(tmp_path, "nan.json", doc)
+    assert run(["verify", "--config", str(path), "--samples", "20"], tmp_path) == 1
+    report = read_json(tmp_path / "verify_report.json")
+    assert report["pass"] is False
+    assert report["failed_conditions"] == ["m1", "m3"]
+
+
 # ---------------------------------------------------------------------------
 # CSV format details
 

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import metriplectic as mp
+from metriplectic import dynamics
 from metriplectic import expressions as ex
+from expr_gen import random_tree
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +237,102 @@ def test_two_dimensional_symplectic_system():
         x = rng.uniform(-2, 2, 2)
         xi = mp.metriplectic_field(sys_def, x)
         assert xi == pytest.approx([x[1], -x[0]], rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the compiled field against its pieces
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = [ROOT / "configs" / "rigid_body.json", ROOT / "configs" / "rigid_body_x3_axis.json",
+                   ROOT / "perfbench" / "configs" / "e3.json"]
+TRANSCENDENTAL_PHI = {
+    1: "sin(s1) + exp(s1/3)",
+    2: "sin(s1)*exp(s2/3) + ln(2 + cos(s2))",
+    3: "sin(s1) + exp(s2/3)*s3 + sqrt(1 + s3^2)",
+}
+
+
+def shipped_systems():
+    return [mp.rigid_body_system(), mp.rigid_body_system(mp.RigidBodyParams(I1=5, I2=3, I3=2, M0=2))] + [
+        mp.load_system_file(path) for path in SHIPPED_CONFIGS
+    ]
+
+
+def null_coordinate_systems(seed, count):
+    """Random systems whose constant Pi acts on x1, x2 only.
+
+    x3 and x4 are null coordinates of Pi, so any function of them is a
+    Casimir; the Casimirs are random trees in them, k = 1 to 3, H is a
+    random tree in all four coordinates and phi is transcendental.
+    """
+    rng = np.random.default_rng(seed)
+    zero, a = ex.Num(0.0), ex.Num(float(rng.uniform(0.5, 2.0)))
+    poisson = mp.PoissonStructure(4, [[zero, a, zero, zero], [ex.neg(a), zero, zero, zero],
+                                      [zero] * 4, [zero] * 4])
+    systems = []
+    while len(systems) < count:
+        k = len(systems) % 3 + 1
+        try:
+            casimirs = [
+                mp.ScalarField.from_expression(
+                    ex.substitute(random_tree(rng, 2, 3), {1: ex.Var(3), 2: ex.Var(4)}), 4)
+                for _ in range(k)
+            ]
+            sys_def = mp.SystemDefinition(
+                poisson, mp.ScalarField.from_expression(random_tree(rng, 4, 3), 4), casimirs,
+                ex.parse(TRANSCENDENTAL_PHI[k], k, "s"), verification=mp.VerificationPolicy(samples=0),
+            )
+            mp.compose_entropy(sys_def)
+        except ValueError:
+            continue  # a random field that fails its own finite-difference check
+        systems.append(sys_def)
+    return systems
+
+
+def assembled_field(sys_def, x):
+    """``xi_pi + (g.u) g - (g.g) u`` from the separately compiled pieces, in the kernel's order."""
+    xi_pi = mp.conservative_field(sys_def, x).tolist()
+    g = sys_def.hamiltonian.gradient_at(x).tolist()
+    u = mp.compose_entropy(sys_def).gradient_at(x).tolist()
+    hu, hh = g[0] * u[0], g[0] * g[0]
+    for i in range(1, len(g)):
+        hu = hu + g[i] * u[i]
+        hh = hh + g[i] * g[i]
+    return [xi_pi[i] + hu * g[i] - hh * u[i] for i in range(len(g))]
+
+
+def test_metriplectic_field_is_its_pieces_bit_for_bit():
+    rng = np.random.default_rng(31)
+    compared = 0
+    for sys_def in shipped_systems() + null_coordinate_systems(32, 45):
+        assert sys_def.k > 0
+        for _ in range(20):
+            x = rng.uniform(-2, 2, sys_def.n)
+            try:
+                got = mp.metriplectic_field(sys_def, x)
+            except ex.EvaluationError:
+                continue
+            expected = np.array(assembled_field(sys_def, x))
+            assert got.tobytes() == expected.tobytes(), (sys_def.name, x.tolist())
+            compared += 1
+    assert compared > 500
+
+
+def test_compose_entropy_is_the_chain_rule_term_by_term():
+    for sys_def in shipped_systems() + null_coordinate_systems(33, 15):
+        entropy = mp.compose_entropy(sys_def)
+        values = {l + 1: c.value for l, c in enumerate(sys_def.casimirs)}
+        partials = [ex.substitute(ex.differentiate(sys_def.phi, l + 1), values) for l in range(sys_def.k)]
+        assert entropy.value == ex.substitute(sys_def.phi, values)
+        for i, u in enumerate(entropy.gradient):
+            total = ex.Num(0.0)
+            for l, c in enumerate(sys_def.casimirs):
+                total = ex.add(total, ex.mul(partials[l], c.gradient[i]))
+            assert repr(u) == repr(total)
+
+
+def test_zero_casimir_derivatives_emit_no_terms():
+    e3 = mp.load_system_file(SHIPPED_CONFIGS[2])
+    lines = dynamics._generate(e3)["metriplectic"]
+    assert "u1 = (f2*x4)" in lines
+    assert not any("*0.0" in line for line in lines if line.startswith("u"))

@@ -188,6 +188,18 @@ def test_derivatives_match_finite_differences():
 # ---------------------------------------------------------------------------
 # printing round trip and compilation
 
+def test_parsed_trees_are_fixed_points_of_the_smart_constructors():
+    # parse folds while it builds, so rebuilding through add/sub/.../fun changes nothing
+    identity = {i: ex.Var(i) for i in (1, 2, 3)}
+    texts = ["-x1^2", "2^3^2", "--x1", "0^-1", "(-8)^(1/3)", "2^-1", "x1 - -x2", "0*x1 + x2/1 - 0"]
+    rng = np.random.default_rng(29)
+    texts += [ex.to_string(random_tree(rng, 3, int(rng.integers(1, 6)))) for _ in range(3000)]
+    for text in texts:
+        tree = ex.parse(text, 3)
+        rebuilt = ex.substitute(tree, identity)
+        assert rebuilt == tree and repr(rebuilt) == repr(tree), text
+
+
 def test_round_trip_through_printer():
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -235,6 +247,22 @@ def test_compiled_kernel_error_names_the_point():
     kernel = ex.compile_kernels(1, {"f": ["return _ln(x1)"]}, "test")["f"]
     with pytest.raises(ex.EvaluationError, match=r"at x=\[-1\.0\]"):
         kernel([-1.0])
+
+
+@pytest.mark.parametrize("body, xs, cause", [
+    ("return _ln(x1)", [-1.0], ValueError),
+    ("return 1.0/x1", [0.0], ZeroDivisionError),
+    ("return _exp(x1)", [1000.0], OverflowError),
+    ("return _pow(x1, 0.5)", [-4.0], ex.EvaluationError),
+])
+def test_compiled_kernels_map_math_errors_themselves(body, xs, cause):
+    # each kernel is the generated function itself, with no wrapper around it
+    kernel = ex.compile_kernels(1, {"f": [body]}, "test")["f"]
+    assert kernel.__closure__ is None and kernel.__code__.co_filename.startswith("<test-")
+    with pytest.raises(ex.EvaluationError) as info:
+        kernel(xs)
+    assert type(info.value.__cause__) is cause
+    assert str(info.value) == f"{info.value.__cause__} at x={xs}"
 
 
 def test_substitute_composition():

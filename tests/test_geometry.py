@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,41 @@ def test_verify_casimir_reports_bad_point():
     field = mp.ScalarField.from_string("sqrt(x1)", 3)  # gradient errors for x1 < 0
     with pytest.raises(ex.EvaluationError, match=r"\[-1\.0, 0\.0, 0\.0\]"):
         mp.verify_casimir(rigid_poisson(), field, [[-1.0, 0.0, 0.0]], tol=1e-6)
+
+
+# x1*1e300*1e300 overflows to inf, so d/dx1 of the first two terms is inf - inf
+NAN_CASIMIR = "x1*1e300*1e300 - x1*1e300*1e300 + (x1^2 + x2^2 + x3^2)/2"
+
+
+def test_nan_residual_fails_the_casimir_check():
+    field = mp.ScalarField.from_string(NAN_CASIMIR, 3)
+    pts = mp.sample_box(3, (-2, 2), 50, seed=0)
+    assert math.isnan(field.gradient_at(pts[0])[0])
+    report = mp.verify_casimir(rigid_poisson(), field, pts, tol=1e-10)
+    assert math.isnan(report.max_residual)
+    assert not report.passed
+    assert np.array_equal(report.worst_point, pts[0])
+
+
+def test_first_non_finite_residual_is_reported():
+    # the gradient of the first two terms is nan unless x1 = 0, where it is 0
+    field = mp.ScalarField.from_string("x1^2*1e300*1e300 - x1^2*1e300*1e300 + x1", 3)
+    pts = [[0.0, 0.0, 0.5], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 2.0]]
+    report = mp.verify_casimir(rigid_poisson(), field, pts, tol=1e-10)
+    assert math.isnan(report.max_residual) and not report.passed
+    assert report.worst_point.tolist() == pts[2]
+    finite = mp.verify_casimir(rigid_poisson(), field, pts[:2], tol=1e-10)
+    assert finite.max_residual == 2.0 and finite.worst_point.tolist() == pts[1]
+
+
+def test_nan_casimir_is_rejected_at_construction():
+    with pytest.raises(mp.CasimirError, match="residual nan"):
+        mp.SystemDefinition(
+            poisson=rigid_poisson(),
+            hamiltonian=mp.ScalarField.from_string("(x1^2/3 + x2^2/2 + x3^2)/2", 3),
+            casimirs=[mp.ScalarField.from_string(NAN_CASIMIR, 3)],
+            phi=ex.parse("s1", 1, "s"),
+        )
 
 
 # ---------------------------------------------------------------------------

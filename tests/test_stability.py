@@ -206,6 +206,11 @@ def test_diagnostics_computed_when_missing(rigid):
     b = mp.lasalle_diagnostics(without, rigid, [1.0, 0.0, 0.0])
     assert a.tail_max_defect == pytest.approx(b.tail_max_defect, rel=1e-12, abs=1e-300)
     assert a.monotone_violations == b.monotone_violations
+    # the same samples without their diagnostics give the same report exactly
+    stripped = mp.Trajectory(times=with_diag.times, states=with_diag.states)
+    c = mp.lasalle_diagnostics(stripped, rigid, [1.0, 0.0, 0.0])
+    for name in a.__dataclass_fields__:
+        assert np.array_equal(getattr(c, name), getattr(a, name)), name
 
 
 def test_lasalle_argument_checks(rigid):
