@@ -10,20 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .dynamics import EquilibriumConsistencyError, classify_equilibrium, diagnostics_function, field_function
+from .dynamics import DEFAULT_EQUILIBRIUM_TOL, EquilibriumConsistencyError, classify_equilibrium
+from .dynamics import diagnostics_function, field_function
 from .dissipation import verify_metriplectic_conditions
 from .expressions import EvaluationError
 from .geometry import CasimirError, SystemDefinition, VerificationPolicy, sample_box
 from .integrators import DivergenceError, IntegrationError, StepControl, Trajectory, integrate
-from .stability import lasalle_diagnostics, lyapunov_report
+from .stability import PD_TOL, lasalle_diagnostics, lyapunov_report
 from .systems import BUILTIN_SYSTEMS, ConfigError, RigidBodyParams, load_system_file, rigid_body_system
 
 EXIT_OK = 0
@@ -88,9 +91,20 @@ def _system_label(args) -> str:
     return args.config if args.config else args.system
 
 
+def _strict(value):
+    """``value`` with each non-finite float as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args, outputs: list, tolerances: dict) -> None:
@@ -117,8 +131,8 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(traj), 1000):  # blocks bound the memory of the text
-            block = np.column_stack([c[lo:lo + 1000] for c in columns]).tolist()
-            fh.write("".join([row % tuple(values) for values in block]))
+            block = np.column_stack([c[lo:lo + 1000] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +186,9 @@ def _cmd_equilibrium(args) -> int:
         eq = classify_equilibrium(sys_def, point, args.tol)
     except EquilibriumConsistencyError as exc:
         raise _CliError(str(exc), EXIT_FAIL) from exc
-    lyap = lyapunov_report(sys_def, point, pd_tol=args.pd_tol)
+    with warnings.catch_warnings():  # eq is the verdict at --tol; lyapunov_report warns at the default
+        warnings.filterwarnings("ignore", "point .* is not an equilibrium", UserWarning)
+        lyap = lyapunov_report(sys_def, point, pd_tol=args.pd_tol)
     payload = {
         "command": "equilibrium",
         "system": _system_label(args),
@@ -333,14 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--box-lo", type=float, default=-2.0)
     verify.add_argument("--box-hi", type=float, default=2.0)
-    verify.add_argument("--tol", type=float, default=1e-10)
+    verify.add_argument("--tol", type=float, default=VerificationPolicy.tolerance)
     verify.set_defaults(func=_cmd_verify)
 
     equilibrium = subs.add_parser("equilibrium", help="classify a point and run the energy-Casimir test")
     _add_common(equilibrium)
     equilibrium.add_argument("--point", required=True, help="comma-separated state, e.g. 1,0,0")
-    equilibrium.add_argument("--tol", type=float, default=1e-9)
-    equilibrium.add_argument("--pd-tol", type=float, default=1e-8)
+    equilibrium.add_argument("--tol", type=float, default=DEFAULT_EQUILIBRIUM_TOL)
+    equilibrium.add_argument("--pd-tol", type=float, default=PD_TOL)
     equilibrium.set_defaults(func=_cmd_equilibrium)
 
     simulate = subs.add_parser("simulate", help="integrate a field and emit trajectory + summary")

@@ -20,7 +20,7 @@ grid and the pairwise minor sum serve as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +112,8 @@ def verify_metriplectic_conditions(
     """Check the three defining conditions at every point of ``points``.
 
     Empty maxima (k = 0 systems) count as 0; the first residual that is
-    not finite is reported and fails its condition.  ``m2`` multiplies the dense
+    not finite is reported and fails its condition, and a point where
+    grad H is not finite has a nan m2 and m3 residual.  ``m2`` multiplies the dense
     matrix against the gradient so the cancellation of the entrywise
     construction is exercised honestly rather than being zero by
     algebraic identity.
@@ -139,19 +140,19 @@ def verify_metriplectic_conditions(
             raise ex.EvaluationError(
                 f"condition check failed at {np.asarray(p).tolist()}: {exc}"
             ) from exc
-        g_residual = float(np.max(np.abs(build_dissipation_matrix(g).matrix @ g)))
+        try:
+            g_residual = float(np.max(np.abs(build_dissipation_matrix(g).matrix @ g)))
+            production = entropy_production(g, u) if sys.k > 0 else 0.0
+        except ValueError:  # grad H is not finite, so G is not defined: the point fails m2 and m3
+            g_residual = production = math.nan
         if _replaces(g_residual, m2, ties=True):
             m2 = g_residual
             worst["m2"] = np.asarray(p, dtype=float)
-        if sys.k > 0:
-            production = entropy_production(g, u)
-            if _replaces(production, m3, ties=True):
-                m3 = production
-                worst["m3"] = np.asarray(p, dtype=float)
+        if sys.k > 0 and _replaces(production, m3, ties=True):
+            m3 = production
+            worst["m3"] = np.asarray(p, dtype=float)
     if sys.k == 0:
         m1 = m3 = 0.0
     m3_pos = m3 if not m3 <= 0.0 else 0.0  # the positive part; nan stays nan
-    passed = m1 <= tol and m2 <= tol and m3_pos <= tol
-    return ConditionReport(
-        m1_max=m1, m2_max=m2, m3_max_positive=m3_pos, passed=passed, worst_points=worst
-    )
+    report = ConditionReport(m1_max=m1, m2_max=m2, m3_max_positive=m3_pos, passed=False, worst_points=worst)
+    return replace(report, passed=not report.failed_conditions(tol))

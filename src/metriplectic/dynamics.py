@@ -180,7 +180,7 @@ def linear_dependence(
     vv = float(np.dot(vv_vec, vv_vec))
     uv = float(np.dot(uu_vec, vv_vec))
     gram = max(0.0, uu * vv - uv * uv)
-    normalized = gram / (uu * vv) if (uu > 0.0 and vv > 0.0) else 0.0
+    normalized = gram / (uu * vv) if uu * vv > 0.0 else 0.0  # the diagnostics kernel's guard
     dependent = normalized <= tol
     lam = uv / vv if (dependent and vv > 0.0) else None
     return DependenceReport(
@@ -207,6 +207,11 @@ class EquilibriumReport:
     threshold: float
 
 
+def _equilibrium_threshold(point: np.ndarray, tol: float = DEFAULT_EQUILIBRIUM_TOL) -> float:
+    """The largest field norm ``tol * (1 + ||x||_inf)`` at which ``point`` is an equilibrium."""
+    return tol * (1.0 + float(np.max(np.abs(point))))
+
+
 def classify_equilibrium(
     sys: SystemDefinition,
     x: Sequence[float],
@@ -225,7 +230,7 @@ def classify_equilibrium(
     xi = metriplectic_field(sys, point)
     g = sys.hamiltonian.gradient_at(point)
     u = compose_entropy(sys).gradient_at(point)
-    thr = tol * (1.0 + float(np.max(np.abs(point))))
+    thr = _equilibrium_threshold(point, tol)
     xi_pi_norm = float(np.max(np.abs(xi_pi)))
     xi_norm = float(np.max(np.abs(xi)))
     is_xi = xi_norm <= thr

@@ -7,9 +7,9 @@ when the estimate is below ``abs_tol + rel_tol * ||x||_inf``.
 
 When a diagnostics callable is supplied, every accepted step is scored
 with ``(H, phi(C), entropy production, dependence defect)``; energy
-drift and entropy increases are tracked per step even if the trajectory
-itself is stored at a coarser stride.  Entropy increases are reported,
-never corrected.
+drift and entropy increases (by the rule of :data:`MONOTONE_SLACK`) are
+tracked per step even if the trajectory itself is stored at a coarser
+stride.  Entropy increases are reported, never corrected.
 
 Both modes run in a loop emitted from one template per state dimension
 n, over float locals.  It calls the system's compiled kernels directly
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 DIAGNOSTIC_COLUMNS = ("H", "phi_c", "entropy_production", "dependence_defect")
+
+# one step increases a nonincreasing v (phi(C) here, L in stability) if v_new - v_old > this * (1 + |v_old|)
+MONOTONE_SLACK = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -213,10 +216,11 @@ def _loop_source(n: int, adaptive: bool) -> str:
             f"    return 'diverged', bad_state({lst('x')}, tn, bound), None, {mon}",
             "acc += 1",
             "if D is not None:",
-            f"    rec = D({lst('x')}); dr = abs(rec[0] - e0); inc = rec[1] - sl; sl = rec[1]",
+            f"    rec = D({lst('x')}); dr = abs(rec[0] - e0); inc = rec[1] - sl",
             "    if dr > md: md = dr",
-            "    if inc > slack: cnt += 1",
+            f"    if inc > {MONOTONE_SLACK!r} and inc > {MONOTONE_SLACK!r} * (1.0 + abs(sl)): cnt += 1",
             "    if inc > mi: mi = inc",
+            "    sl = rec[1]",
             f"out = escaped is not None and escaped({lst('x')})",
             f"if (acc % stride == 0 or {last} or out) and tn > tl:",
             f"    T.append(tn); X.extend({lst('x')}); tl = tn",
@@ -225,7 +229,7 @@ def _loop_source(n: int, adaptive: bool) -> str:
         ]
 
     indent = lambda lines, depth: "".join("    " * depth + line + "\n" for line in lines)
-    head = "def run(F, D, T, X, R, xs, t0, t1, h, stride, slack, bound, escaped," \
+    head = "def run(F, D, T, X, R, xs, t0, t1, h, stride, bound, escaped," \
            " n_steps, abs_tol, rel_tol, max_steps):\n" + indent([
                f"{vec('x')} = xs; T.append(t0); X.extend(xs); tl = t0",
                "acc = rej = 0; e0 = md = s0 = cnt = mi = mer = None",
@@ -297,7 +301,6 @@ def integrate(
     *,
     diagnostics: Optional[Callable] = None,
     stride: int = 1,
-    entropy_slack: float = 1e-10,
     divergence_bound: float = 1e6,
     escape_center: Optional[Sequence[float]] = None,
     escape_radius: Optional[float] = None,
@@ -307,7 +310,9 @@ def integrate(
     Samples are stored at every accepted step (or every ``stride``-th,
     plus always the final state).  ``diagnostics`` is an optional
     state -> 4-tuple callable; when given, each stored sample carries a
-    record and per-step monitors are maintained regardless of stride.
+    record and per-step monitors are maintained regardless of stride
+    (an entropy increase counts when phi(C) rises by more than
+    ``MONOTONE_SLACK * (1 + |phi(C)|)`` over one step).
 
     Raises :class:`DivergenceError` (with the partial trajectory) when
     the state becomes non-finite, exceeds ``divergence_bound``, or the
@@ -349,9 +354,8 @@ def integrate(
     D = None if diagnostics is None else _kernel(diagnostics, n) or (lambda xs: diagnostics(np.array(xs)))
     times, states, records = [], [], []
     status, message, cause, *counts = _loop(n, control.mode == "adaptive")(
-        F, D, times, states, records, x.tolist(), t0, t1, control.h, stride, entropy_slack,
-        divergence_bound, escaped, n_steps, control.abs_tol, control.rel_tol,
-        control.max_steps,
+        F, D, times, states, records, x.tolist(), t0, t1, control.h, stride, divergence_bound,
+        escaped, n_steps, control.abs_tol, control.rel_tol, control.max_steps,
     )
     traj = Trajectory(
         times=np.array(times),

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .dynamics import _compiled, conservative_field
+from .dynamics import _compiled, _equilibrium_threshold, conservative_field
 from .geometry import ScalarField, SystemDefinition, compose_entropy
-from .integrators import Trajectory
+from .integrators import MONOTONE_SLACK, Trajectory
 
 __all__ = [
     "LyapunovReport",
@@ -84,24 +84,24 @@ def lyapunov_report(
     sys: SystemDefinition,
     x_e: Sequence[float],
     pd_tol: float = PD_TOL,
-    fd_step: Optional[float] = None,
 ) -> LyapunovReport:
     """Evaluate both energy-Casimir conditions at ``x_e``.
 
     Warns (without failing) when ``x_e`` is not an equilibrium of the
-    conservative field, since the test is then vacuous.
+    conservative field, since the test is then vacuous; the verdict is that
+    of :func:`dynamics.classify_equilibrium` at its default tolerance.
     """
     point = np.asarray(x_e, dtype=float)
     field = augmented_energy(sys)
-    xi_pi = conservative_field(sys, point)
-    if float(np.max(np.abs(xi_pi))) > 1e-9 * (1.0 + float(np.max(np.abs(point)))):
+    xi_pi_norm = float(np.max(np.abs(conservative_field(sys, point))))
+    if not xi_pi_norm <= _equilibrium_threshold(point):
         warnings.warn(
             f"point {point.tolist()} is not an equilibrium of the conservative field "
-            f"(|Pi grad H|_inf = {float(np.max(np.abs(xi_pi))):.3e})",
+            f"(|Pi grad H|_inf = {xi_pi_norm:.3e})",
             stacklevel=2,
         )
     grad_norm = float(np.max(np.abs(field.gradient_at(point))))
-    raw = _raw_hessian(field, point, fd_step)
+    raw = _raw_hessian(field, point, None)
     asym = float(np.max(np.abs(raw - raw.T)))
     if asym > HESSIAN_ASYMMETRY_TOL:
         raise ValueError(
@@ -139,7 +139,7 @@ def _raw_hessian(field: ScalarField, point: np.ndarray, h: Optional[float]) -> n
 class LaSalleReport:
     """A posteriori convergence evidence from a trajectory."""
 
-    monotone_violations: int  # per-step increases of L above slack
+    monotone_violations: int  # per-step increases of L by the MONOTONE_SLACK rule
     worst_increase: float  # most positive per-step change of L (can be <= 0)
     tail_states: np.ndarray  # final tail_fraction of the samples
     tail_max_defect: float  # max dependence defect over the tail
@@ -153,12 +153,12 @@ def lasalle_diagnostics(
     x_e: Sequence[float],
     tail_fraction: float = 0.1,
     defect_tol: float = 1e-6,
-    slack_scale: float = 1e-10,
 ) -> LaSalleReport:
     """Scan ``L = H_phi(x(t)) - H_phi(x_e)`` and the trajectory tail.
 
     A per-step increase counts as a violation when it exceeds
-    ``slack_scale * (1 + |L|)``.  The tail (last ``tail_fraction`` of the
+    ``MONOTONE_SLACK * (1 + |L|)``, ``L`` taken before the step: the rule
+    :func:`integrators.integrate` counts entropy increases by.  The tail (last ``tail_fraction`` of the
     samples) approximates the omega-limit set; convergence to the
     linear-dependence set is declared when its worst defect is within
     ``defect_tol``.
@@ -181,7 +181,7 @@ def lasalle_diagnostics(
     lyap = energy + entropy - offset
     increases = np.diff(lyap)
     if len(increases):
-        slack = slack_scale * (1.0 + np.abs(lyap[:-1]))
+        slack = MONOTONE_SLACK * (1.0 + np.abs(lyap[:-1]))
         violations = int(np.sum(increases > slack))
         worst = float(np.max(increases))
     else:

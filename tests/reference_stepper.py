@@ -13,14 +13,13 @@ import math
 import numpy as np
 
 import metriplectic as mp
-from metriplectic.integrators import FieldEvaluationError
+from metriplectic.integrators import MONOTONE_SLACK, FieldEvaluationError
 
 
 class _Recorder:
-    def __init__(self, diagnostics, stride, entropy_slack, divergence_bound, escape_center, escape_radius):
+    def __init__(self, diagnostics, stride, divergence_bound, escape_center, escape_radius):
         self.diag_fn = diagnostics
         self.stride = stride
-        self.entropy_slack = entropy_slack
         self.divergence_bound = divergence_bound
         self.escape_center = escape_center
         self.escape_radius = escape_radius
@@ -44,7 +43,7 @@ class _Recorder:
                 if drift > mon.max_energy_drift:
                     mon.max_energy_drift = drift
                 increase = record[1] - self._last_entropy
-                if increase > self.entropy_slack:
+                if increase > MONOTONE_SLACK * (1.0 + abs(self._last_entropy)):
                     mon.entropy_increase_count += 1
                 if increase > mon.max_entropy_increase:
                     mon.max_entropy_increase = increase
@@ -87,12 +86,12 @@ class _Recorder:
 
 
 def reference_integrate(field, x0, t_span, control=mp.StepControl(), *, diagnostics=None, stride=1,
-                        entropy_slack=1e-10, divergence_bound=1e6, escape_center=None, escape_radius=None):
+                        divergence_bound=1e6, escape_center=None, escape_radius=None):
     t0, t1 = float(t_span[0]), float(t_span[1])
     x = np.asarray(x0, dtype=float)
     if escape_center is not None:
         escape_center = np.asarray(escape_center, dtype=float)
-    recorder = _Recorder(diagnostics, stride, entropy_slack, divergence_bound, escape_center, escape_radius)
+    recorder = _Recorder(diagnostics, stride, divergence_bound, escape_center, escape_radius)
     recorder.observe(t0, x, 0)
 
     if control.mode == "fixed":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import metriplectic as mp
-from metriplectic import cli, dynamics
+from metriplectic import cli, dynamics, stability
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -115,6 +115,29 @@ def test_equilibrium_inconsistency_is_a_verification_failure(tmp_path, monkeypat
     monkeypatch.setattr(dynamics, "conservative_field", lambda sys_def, x: np.ones(3))
     assert run(["equilibrium", "--point", "1,0,0"], tmp_path) == cli.EXIT_FAIL
     assert "is not a conservative one" in capsys.readouterr().err
+
+
+def test_equilibrium_prints_no_warning_beside_its_verdict(tmp_path, capsys, recwarn):
+    # conservative at --tol 1e-6, not at the library's default tolerance
+    assert run(["equilibrium", "--point", "1,1e-7,0", "--tol", "1e-6"], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("conservative=True ")
+    assert err == "" and not [w for w in recwarn if "not an equilibrium" in str(w.message)]
+    assert read_json(tmp_path / "equilibrium_report.json")["is_conservative_equilibrium"] is True
+
+
+def test_equilibrium_where_the_gram_product_underflows(tmp_path):
+    assert run(["equilibrium", "--point", "1e-100,1e-100,0"], tmp_path) == 0
+    report = read_json(tmp_path / "equilibrium_report.json")
+    assert report["dependence"]["normalized_defect"] == 0.0
+    assert report["dependence"]["dependent"] is True
+
+
+def test_default_tolerances_are_the_library_constants():
+    parser = cli._build_parser()
+    equilibrium = parser.parse_args(["equilibrium", "--point", "1,0,0"])
+    assert (equilibrium.tol, equilibrium.pd_tol) == (dynamics.DEFAULT_EQUILIBRIUM_TOL, stability.PD_TOL)
+    assert parser.parse_args(["verify"]).tol == mp.VerificationPolicy().tolerance
 
 
 def test_equilibrium_dimension_mismatch(tmp_path):
@@ -269,6 +292,41 @@ def test_verify_nan_casimir_config_fails(tmp_path):
     report = read_json(tmp_path / "verify_report.json")
     assert report["pass"] is False
     assert report["failed_conditions"] == ["m1", "m3"]
+
+
+def test_entropy_increases_and_lasalle_violations_agree(tmp_path):
+    args = ["simulate", "--params", "I1=3,I2=2,I3=1,M0=200", "--field", "conservative", "--x0", "202,10,-6",
+            "--t1", "5e-5", "--h", "2.5e-8", "--analyze", "--x-e", "200,0,0"]
+    assert run(args, tmp_path) == 0
+    summary = read_json(tmp_path / "simulate_summary.json")
+    assert summary["steps_accepted"] == 2000 and summary["entropy_increase_max"] > 1e-9
+    assert summary["entropy_increase_count"] == summary["lasalle"]["monotone_violations"] == 0
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_verify_non_finite_grad_h_fails_m2_and_m3(tmp_path, capsys):
+    doc = rigid_doc("(x1^2 + x2^2 + x3^2)/2", "(s1 - 0.5)^2 - s1/3")
+    doc["hamiltonian"] = "x1*1e300*1e300 - x1*1e300*1e300 + x1^2/6 + x2^2/4 + x3^2/2"
+    path = write_doc(tmp_path, "nan_h.json", doc)
+    assert run(["verify", "--config", str(path), "--samples", "20"], tmp_path) == 1
+    assert capsys.readouterr().err == ""
+    report = _strict_json(tmp_path / "verify_report.json")
+    assert report["failed_conditions"] == ["m2", "m3"]
+    assert report["m2_max"] == report["m3_max_positive"] == "NaN"
+
+
+def test_reports_are_strict_json(tmp_path):
+    doc = rigid_doc("x1*1e300*1e300 - x1*1e300*1e300 + (x1^2 + x2^2 + x3^2)/2", "(s1 - 0.5)^2 - s1/3")
+    path = write_doc(tmp_path, "nan.json", doc)
+    assert run(["verify", "--config", str(path), "--samples", "20"], tmp_path) == 1
+    assert _strict_json(tmp_path / "verify_report.json")["m1_max"] == "NaN"
+    cli._write_json(tmp_path / "edge.json", {"a": [float("inf"), -float("inf"), (float("nan"), 1.5)], "b": {"c": 0.0}})
+    assert _strict_json(tmp_path / "edge.json") == {"a": ["Infinity", "-Infinity", ["NaN", 1.5]], "b": {"c": 0.0}}
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,22 @@ def test_nan_residuals_fail_their_conditions():
     assert report.failed_conditions(1e-10) == ["m1", "m3"]
     assert np.array_equal(report.worst_points["m1"], pts[0])
     assert np.array_equal(report.worst_points["m3"], pts[0])
+
+
+def test_non_finite_grad_h_fails_m2_and_m3():
+    # grad H has the first component inf - inf = nan everywhere: G is not defined
+    sys_def = mp.SystemDefinition(
+        poisson=mp.PoissonStructure.from_strings([["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]),
+        hamiltonian=mp.ScalarField.from_string("x1*1e300*1e300 - x1*1e300*1e300 + x1^2/6 + x2^2/4 + x3^2/2", 3),
+        casimirs=[mp.ScalarField.from_string("(x1^2 + x2^2 + x3^2)/2", 3)],
+        phi=ex.parse("(s1 - 0.5)^2 - s1/3", 1, "s"),
+        verification=mp.VerificationPolicy(samples=0),
+    )
+    pts = mp.sample_box(3, (-2, 2), 100, seed=18)
+    report = mp.verify_metriplectic_conditions(sys_def, pts, tol=1e-10)
+    assert not report.passed
+    assert report.m1_max <= 1e-10
+    assert math.isnan(report.m2_max) and math.isnan(report.m3_max_positive)
+    assert report.failed_conditions(1e-10) == ["m2", "m3"]
+    assert np.array_equal(report.worst_points["m2"], pts[0])
+    assert np.array_equal(report.worst_points["m3"], pts[0])

@@ -154,6 +154,17 @@ def test_dependence_scale_invariance():
             assert abs(scaled - base) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e-80, 1e-100, 1e-120, 1e-160])
+def test_linear_dependence_matches_the_diagnostics_defect(rigid, scale):
+    # below about 1e-77 the product ||g||^2 ||u||^2 underflows to zero
+    rng = np.random.default_rng(26)
+    for x in [np.array([1.0, 1.0, 0.0])] + list(rng.uniform(-2, 2, (20, 3))):
+        x = scale * x
+        g, u = rigid.hamiltonian.gradient_at(x), mp.compose_entropy(rigid).gradient_at(x)
+        report = mp.linear_dependence(g, u)
+        assert abs(report.normalized_defect - mp.dependence_defect(rigid, x)) <= 1e-12
+
+
 def test_linear_dependence_argument_checks():
     with pytest.raises(ValueError):
         mp.linear_dependence([1.0], [1.0, 2.0])

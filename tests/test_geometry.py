@@ -278,3 +278,20 @@ def test_verification_policy_validation():
         mp.VerificationPolicy(samples=-1)
     with pytest.raises(ValueError):
         mp.VerificationPolicy(tolerance=0.0)
+
+
+@pytest.mark.parametrize("casimirs", [0, 1])
+def test_antisymmetry_is_checked_at_every_sample_point(casimirs):
+    # Pi_12 breaks antisymmetry only where x1 > 1.95; the first such default
+    # sample point is number 57, past the first 50
+    rows = [row[:] for row in RIGID_ROWS]
+    rows[0][1] = "-x3 + (x1 - 1.95 + sqrt((x1 - 1.95)^2))"
+    points = mp.sample_box(3, (-2.0, 2.0), 1000, 0)
+    assert int(np.argmax(points[:, 0] > 1.95)) == 57
+    with pytest.raises(mp.AntisymmetryError):
+        mp.SystemDefinition(
+            poisson=mp.PoissonStructure.from_strings(rows),
+            hamiltonian=mp.ScalarField.from_string("x1^2/6 + x2^2/4 + x3^2/2", 3),
+            casimirs=[norm_casimir()][:casimirs],
+            phi=ex.parse("s1", 1, "s") if casimirs else None,
+        )

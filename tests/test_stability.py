@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,18 @@ def test_report_warns_off_equilibrium(rigid):
     assert not report.positive_definite is None
 
 
+@pytest.mark.parametrize("y", [1e-8, 1.19e-8, 1.21e-8, 1e-7])
+def test_report_warns_exactly_off_the_equilibrium_verdict(rigid, y):
+    # |Pi grad H| at (1, y, 0) is y/6 against the default threshold 2e-9
+    point = [1.0, y, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.lyapunov_report(rigid, point)
+    warned = any("not an equilibrium" in str(w.message) for w in caught)
+    assert warned == (not mp.classify_equilibrium(rigid, point).is_xi_pi_equilibrium)
+    assert warned == (y > 1.2e-8)
+
+
 def test_report_quadratic_hamiltonian_no_entropy():
     sys_def = mp.SystemDefinition(
         poisson=mp.PoissonStructure.from_strings([["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]),
@@ -220,3 +233,27 @@ def test_lasalle_argument_checks(rigid):
     bad = mp.Trajectory(times=np.array([0.0]), states=np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         mp.lasalle_diagnostics(bad, rigid, [1.0, 0.0, 0.0])
+
+
+def test_entropy_and_lyapunov_increases_share_one_rule():
+    # phi(C) is about 2e5 here, and conservative RK4 moves it by up to 6.9e-9 per
+    # step: an absolute 1e-10 slack counted 551 increases where L counted none
+    sys_def = mp.rigid_body_system(mp.RigidBodyParams(3.0, 2.0, 1.0, 200.0))
+    traj = mp.integrate(
+        mp.field_function(sys_def, "conservative"), [202.0, 10.0, -6.0], (0.0, 5e-5),
+        mp.StepControl(h=2.5e-8), diagnostics=mp.diagnostics_function(sys_def),
+    )
+    report = mp.lasalle_diagnostics(traj, sys_def, [200.0, 0.0, 0.0])
+    assert traj.monitor.max_entropy_increase > 1e-9
+    assert traj.monitor.entropy_increase_count == report.monotone_violations == 0
+
+
+@pytest.mark.parametrize("base", [1e6, -1e6])
+@pytest.mark.parametrize("step, count", [(0.9e-4, 0), (1.1e-4, 20)])
+def test_increase_counts_above_the_relative_slack(base, step, count):
+    # phi(C) = L = base + step * t rises by step per unit step; MONOTONE_SLACK * (1 + |base|) is about 1e-4
+    flat = mp.SystemDefinition(mp.PoissonStructure.from_strings([["0"]]), mp.ScalarField.from_string("0", 1))
+    traj = mp.integrate(lambda x: np.ones(1), [0.0], (0.0, 20.0), mp.StepControl(h=1.0),
+                        diagnostics=lambda x: (0.0, base + step * x[0], 0.0, 0.0))
+    assert traj.monitor.entropy_increase_count == count
+    assert mp.lasalle_diagnostics(traj, flat, [0.0]).monotone_violations == count
