@@ -24,9 +24,10 @@ from .dynamics import DEFAULT_EQUILIBRIUM_TOL, EquilibriumConsistencyError, clas
 from .dynamics import diagnostics_function, field_function
 from .dissipation import verify_metriplectic_conditions
 from .expressions import EvaluationError
-from .geometry import CasimirError, SystemDefinition, VerificationPolicy, sample_box
-from .integrators import DivergenceError, IntegrationError, StepControl, Trajectory, integrate
-from .stability import PD_TOL, lasalle_diagnostics, lyapunov_report
+from .geometry import AntisymmetryError, CasimirError, SystemDefinition, VerificationPolicy, sample_box
+from .integrators import DIVERGENCE_BOUND, DivergenceError, IntegrationError, StepControl, Trajectory, integrate
+from .stability import DEFECT_TOL, PD_TOL, TAIL_FRACTION, _check_lasalle_arguments
+from .stability import lasalle_diagnostics, lyapunov_report
 from .systems import BUILTIN_SYSTEMS, ConfigError, RigidBodyParams, load_system_file, rigid_body_system
 
 EXIT_OK = 0
@@ -60,16 +61,19 @@ def _parse_params(text: Optional[str]) -> dict:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vector = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise _CliError(f"malformed {what} {text!r}; expected comma-separated numbers") from None
+    if not np.all(np.isfinite(vector)):
+        raise _CliError(f"{what} {text!r} has a non-finite component")
+    return vector
 
 
 def _resolve_system(args, verification: Optional[VerificationPolicy] = None) -> SystemDefinition:
     if args.config:
         try:
             return load_system_file(args.config, verification)
-        except (ConfigError, CasimirError, EvaluationError, OSError) as exc:
+        except (ConfigError, CasimirError, AntisymmetryError, EvaluationError, OSError) as exc:
             raise _CliError(f"cannot load {args.config}: {exc}") from exc
     name = args.system
     if name not in BUILTIN_SYSTEMS:
@@ -140,13 +144,11 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 def _cmd_verify(args) -> int:
     out_dir = Path(args.out_dir)
+    policy = VerificationPolicy((args.box_lo, args.box_hi), args.samples, args.tol, args.seed)
     # defer load-time Casimir checking: this command's whole job is to
     # measure the condition residuals and report them
     sys_def = _resolve_system(args, VerificationPolicy(samples=0))
-    box = (args.box_lo, args.box_hi)
-    if box[0] >= box[1]:
-        raise _CliError(f"empty sampling box {box}")
-    points = sample_box(sys_def.n, box, args.samples, args.seed)
+    points = sample_box(sys_def.n, policy.box, policy.samples, policy.seed)
     try:
         report = verify_metriplectic_conditions(sys_def, points, args.tol)
     except EvaluationError as exc:
@@ -155,7 +157,7 @@ def _cmd_verify(args) -> int:
         "command": "verify",
         "system": _system_label(args),
         "samples": args.samples,
-        "box": list(box),
+        "box": list(policy.box),
         "seed": args.seed,
         "tolerance": args.tol,
         "m1_max": report.m1_max,
@@ -252,8 +254,6 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_vector(args.x0, "--x0")
     if len(x0) != sys_def.n:
         raise _CliError(f"--x0 has {len(x0)} components, system dimension is {sys_def.n}")
-    if args.t1 <= args.t0:
-        raise _CliError(f"need --t1 > --t0, got {args.t0} and {args.t1}")
     control = StepControl(
         mode="adaptive" if args.adaptive else "fixed",
         h=args.h,
@@ -271,6 +271,7 @@ def _cmd_simulate(args) -> int:
         x_e = _parse_vector(args.x_e, "--x-e") if args.x_e else _default_equilibrium(args, sys_def)
         if len(x_e) != sys_def.n:
             raise _CliError("--x-e dimension mismatch")
+        _check_lasalle_arguments(args.tail_fraction, args.defect_tol)
 
     csv_path = out_dir / "trajectory.csv"
     summary_path = out_dir / "simulate_summary.json"
@@ -346,9 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="check the structural conditions by sampling")
     _add_common(verify)
-    verify.add_argument("--samples", type=int, default=1000)
-    verify.add_argument("--box-lo", type=float, default=-2.0)
-    verify.add_argument("--box-hi", type=float, default=2.0)
+    verify.add_argument("--samples", type=int, default=VerificationPolicy.samples)
+    verify.add_argument("--box-lo", type=float, default=VerificationPolicy.box[0])
+    verify.add_argument("--box-hi", type=float, default=VerificationPolicy.box[1])
     verify.add_argument("--tol", type=float, default=VerificationPolicy.tolerance)
     verify.set_defaults(func=_cmd_verify)
 
@@ -365,19 +366,19 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--x0", required=True, help="initial state, comma-separated")
     simulate.add_argument("--t0", type=float, default=0.0)
     simulate.add_argument("--t1", type=float, required=True)
-    simulate.add_argument("--h", type=float, default=1e-3, help="fixed step (or initial adaptive step)")
+    simulate.add_argument("--h", type=float, default=StepControl.h, help="fixed step (or initial adaptive step)")
     simulate.add_argument("--adaptive", action="store_true")
-    simulate.add_argument("--abs-tol", type=float, default=1e-9)
-    simulate.add_argument("--rel-tol", type=float, default=1e-9)
-    simulate.add_argument("--max-steps", type=int, default=10_000_000)
+    simulate.add_argument("--abs-tol", type=float, default=StepControl.abs_tol)
+    simulate.add_argument("--rel-tol", type=float, default=StepControl.rel_tol)
+    simulate.add_argument("--max-steps", type=int, default=StepControl.max_steps)
     simulate.add_argument("--stride", type=int, default=1, help="store every N-th accepted step")
-    simulate.add_argument("--divergence-bound", type=float, default=1e6)
+    simulate.add_argument("--divergence-bound", type=float, default=DIVERGENCE_BOUND)
     simulate.add_argument("--guard-center", default=None, help="escape-guard center, comma-separated")
     simulate.add_argument("--guard-radius", type=float, default=1.0)
     simulate.add_argument("--analyze", action="store_true", help="run convergence diagnostics on the result")
     simulate.add_argument("--x-e", default=None, help="equilibrium for --analyze (default: built-in's)")
-    simulate.add_argument("--tail-fraction", type=float, default=0.1)
-    simulate.add_argument("--defect-tol", type=float, default=1e-6)
+    simulate.add_argument("--tail-fraction", type=float, default=TAIL_FRACTION)
+    simulate.add_argument("--defect-tol", type=float, default=DEFECT_TOL)
     simulate.set_defaults(func=_cmd_simulate)
     return parser
 

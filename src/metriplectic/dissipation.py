@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import SystemDefinition, _replaces, compose_entropy, poisson_matrix
+from .geometry import SystemDefinition, _check_positive, _replaces, compose_entropy, poisson_matrix
 
 __all__ = [
     "DissipationMatrix",
@@ -111,6 +111,7 @@ def verify_metriplectic_conditions(
 ) -> ConditionReport:
     """Check the three defining conditions at every point of ``points``.
 
+    Each passes iff its worst residual is <= ``tol``, a finite number > 0.
     Empty maxima (k = 0 systems) count as 0; the first residual that is
     not finite is reported and fails its condition, and a point where
     grad H is not finite has a nan m2 and m3 residual.  ``m2`` multiplies the dense
@@ -120,8 +121,7 @@ def verify_metriplectic_conditions(
     """
     if len(points) == 0:
         raise ValueError("at least one sample point is required")
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    _check_positive(tol, "tolerance")
     entropy = compose_entropy(sys)
     m1 = m3 = -math.inf  # raised by the first point; left at that for k = 0
     m2 = 0.0

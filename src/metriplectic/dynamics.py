@@ -25,13 +25,14 @@ compiled scalar fields of :mod:`geometry`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import expressions as ex
-from .geometry import KernelFunction, SystemDefinition, _chain_rule, as_state, compose_entropy
+from .geometry import KernelFunction, SystemDefinition, _chain_rule, _check_positive, as_state, compose_entropy
 
 __all__ = [
     "DependenceReport",
@@ -169,23 +170,36 @@ def linear_dependence(
     v: Sequence[float],
     tol: float = DEFAULT_DEPENDENCE_TOL,
 ) -> DependenceReport:
-    """Scale-invariant dependence test via the normalized Gram defect."""
+    """Scale-invariant dependence test via the normalized Gram defect.
+
+    ``tol`` bounds the normalized defect and must be a finite number > 0.
+    When ``||u||^2 ||v||^2`` overflows, both vectors are divided by their
+    sup norms first (the normalized defect does not change) and ``lam``
+    and the Gram defect are scaled back.
+    """
     uu_vec = np.asarray(u, dtype=float)
     vv_vec = np.asarray(v, dtype=float)
     if uu_vec.shape != vv_vec.shape or uu_vec.ndim != 1:
         raise ValueError(f"shape mismatch: {uu_vec.shape} vs {vv_vec.shape}")
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    uu = float(np.dot(uu_vec, uu_vec))
-    vv = float(np.dot(vv_vec, vv_vec))
-    uv = float(np.dot(uu_vec, vv_vec))
+    _check_positive(tol, "tolerance")
+    su = sv = 1.0
+    uu, vv, uv = _dots(uu_vec, vv_vec)
+    if uu * vv == math.inf:
+        su, sv = float(np.max(np.abs(uu_vec))), float(np.max(np.abs(vv_vec)))
+        uu, vv, uv = _dots(uu_vec / su, vv_vec / sv)
     gram = max(0.0, uu * vv - uv * uv)
     normalized = gram / (uu * vv) if uu * vv > 0.0 else 0.0  # the diagnostics kernel's guard
     dependent = normalized <= tol
-    lam = uv / vv if (dependent and vv > 0.0) else None
+    lam = uv / vv * su / sv if (dependent and vv > 0.0) else None
     return DependenceReport(
-        dependent=dependent, lam=lam, gram_defect=gram, normalized_defect=normalized
+        dependent=dependent, lam=lam, gram_defect=gram * su * su * sv * sv, normalized_defect=normalized
     )
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> tuple:
+    """``(u . u, v . v, u . v)``; an overflow gives inf without a warning."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
 
 
 def dependence_defect(sys: SystemDefinition, x: Sequence[float]) -> float:
@@ -221,10 +235,10 @@ def classify_equilibrium(
 
     A full-field equilibrium must also be a conservative-field one; that
     implication is checked (with slack ``PROP_21_SLACK``) on every call and
-    a violation raises :class:`EquilibriumConsistencyError`.
+    a violation raises :class:`EquilibriumConsistencyError`.  ``tol`` must
+    be a finite number > 0.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    _check_positive(tol, "tolerance")
     point = np.asarray(x, dtype=float)
     xi_pi = conservative_field(sys, point)
     xi = metriplectic_field(sys, point)

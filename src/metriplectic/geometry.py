@@ -56,7 +56,11 @@ class CasimirError(ValueError):
 
 @dataclass(frozen=True)
 class VerificationPolicy:
-    """Sampling plan used to certify structure conditions numerically."""
+    """Sampling plan used to certify structure conditions numerically.
+
+    The box must be finite and ordered, the tolerance a finite number > 0
+    and the sample count >= 0.
+    """
 
     box: tuple[float, float] = (-2.0, 2.0)
     samples: int = 1000
@@ -64,18 +68,22 @@ class VerificationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.box[0] >= self.box[1]:
-            raise ValueError(f"empty sampling box {self.box}")
+        _check_positive(self.box[1] - self.box[0], f"width of sampling box {self.box}")  # finite and ordered
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        _check_positive(self.tolerance, "tolerance")
 
 
 def sample_box(n: int, box: tuple[float, float], samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = box
     return rng.uniform(lo, hi, size=(samples, n))
+
+
+def _check_positive(value: float, name: str) -> None:
+    """The rule of every tolerance, step and span: a finite number > 0, else a ValueError naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def as_state(x: Sequence[float], n: int) -> list:
@@ -246,13 +254,13 @@ def verify_casimir(
     """Certify ``Pi(x) grad c(x) = 0`` by sampling.
 
     Returns the worst sup-norm residual over the points (the first one
-    that is not finite, if any); passes iff it is <= ``tol``.  Evaluation
-    failures are re-raised with the offending point attached.
+    that is not finite, if any); passes iff it is <= ``tol``, a finite
+    number > 0.  Evaluation failures are re-raised with the offending
+    point attached.
     """
     if len(points) == 0:
         raise ValueError("at least one sample point is required")
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    _check_positive(tol, "tolerance")
     if c.arity != structure.n:
         raise ValueError(f"field arity {c.arity} does not match dimension {structure.n}")
     worst = 0.0

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expressions import EvaluationError, exec_source
-from .geometry import KernelFunction
+from .geometry import KernelFunction, _check_positive
 
 __all__ = [
     "StepControl",
@@ -47,6 +47,8 @@ DIAGNOSTIC_COLUMNS = ("H", "phi_c", "entropy_production", "dependence_defect")
 
 # one step increases a nonincreasing v (phi(C) here, L in stability) if v_new - v_old > this * (1 + |v_old|)
 MONOTONE_SLACK = 1e-10
+# integrate's default bound on |x_i|
+DIVERGENCE_BOUND = 1e6
 
 
 class IntegrationError(RuntimeError):
@@ -75,7 +77,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy: fixed step or step-doubling adaptivity."""
+    """Step-size policy: fixed step or step-doubling adaptivity.
+
+    ``h``, ``abs_tol``, ``rel_tol`` and ``max_steps`` must each be a finite
+    number > 0.
+    """
 
     mode: str = "fixed"  # "fixed" | "adaptive"
     h: float = 1e-3
@@ -86,12 +92,8 @@ class StepControl:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.h <= 0:
-            raise ValueError("step size must be > 0")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be > 0")
+        for name in ("h", "abs_tol", "rel_tol", "max_steps"):
+            _check_positive(getattr(self, name), name)
 
 
 @dataclass
@@ -159,11 +161,11 @@ class Trajectory:
 def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndarray:
     """One classical Runge-Kutta step of size ``h`` from state ``x``.
 
-    ``field`` maps a state vector to its derivative.  Evaluation failures
-    are re-raised as :class:`FieldEvaluationError` with the stage index.
+    ``field`` maps a state vector to its derivative; ``h`` must be a finite
+    number > 0.  Evaluation failures are re-raised as
+    :class:`FieldEvaluationError` with the stage index.
     """
-    if h <= 0:
-        raise ValueError("step size must be > 0")
+    _check_positive(h, "step size")
     x = np.asarray(x, dtype=float)
     stage = 1
     try:
@@ -246,7 +248,7 @@ def _loop_source(n: int, adaptive: bool) -> str:
     else:
         body = indent([
             "t = t0; h = min(h, t1 - t0); t_end = t1 - 1e-12 * max(1.0, abs(t1)); mer = 0.0",
-            "while t < t_end:",
+            "while t < t_end or acc == 0:  # a span shorter than the end slack still takes a step",
             "    h = min(h, t1 - t); hh = 0.5 * h",
             "    if acc + rej >= max_steps:",
             "        raise IntegrationError(f'step budget max_steps={max_steps} exhausted')",
@@ -301,14 +303,15 @@ def integrate(
     *,
     diagnostics: Optional[Callable] = None,
     stride: int = 1,
-    divergence_bound: float = 1e6,
+    divergence_bound: float = DIVERGENCE_BOUND,
     escape_center: Optional[Sequence[float]] = None,
     escape_radius: Optional[float] = None,
 ) -> Trajectory:
     """Integrate ``dx/dt = field(x)`` over ``t_span = (t0, t1)``.
 
-    Samples are stored at every accepted step (or every ``stride``-th,
-    plus always the final state).  ``diagnostics`` is an optional
+    The span ``t1 - t0`` must be a finite number > 0, and so must
+    ``escape_radius`` when a guard is set.  Samples are stored at every
+    accepted step (or every ``stride``-th, plus always the final state).  ``diagnostics`` is an optional
     state -> 4-tuple callable; when given, each stored sample carries a
     record and per-step monitors are maintained regardless of stride
     (an entropy increase counts when phi(C) rises by more than
@@ -323,8 +326,7 @@ def integrate(
     instead of raising.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got {t_span!r}")
+    _check_positive(t1 - t0, f"span t1 - t0 of {t_span!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     x = np.asarray(x0, dtype=float)
@@ -334,13 +336,15 @@ def integrate(
     escaped = None
     if escape_center is not None:
         escape_center = np.asarray(escape_center, dtype=float)
-        if escape_radius is None or escape_radius <= 0:
-            raise ValueError("escape guard needs a positive radius")
+        if escape_radius is None:
+            raise ValueError("escape guard needs a radius")
+        _check_positive(escape_radius, "escape radius")
         escaped = lambda xs: np.linalg.norm(np.array(xs) - escape_center) > escape_radius
 
     n_steps = 0
     if control.mode == "fixed":
-        n_steps = max(1, math.ceil((t1 - t0) / control.h - 1e-9))
+        steps = (t1 - t0) / control.h - 1e-9
+        n_steps = max(1, math.ceil(steps)) if steps < math.inf else steps  # inf fails the budget
         if n_steps > control.max_steps:
             raise IntegrationError(
                 f"{n_steps} steps of h={control.h:g} exceed max_steps={control.max_steps}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .dynamics import _compiled, _equilibrium_threshold, conservative_field
-from .geometry import ScalarField, SystemDefinition, compose_entropy
+from .geometry import ScalarField, SystemDefinition, _check_positive, compose_entropy
 from .integrators import MONOTONE_SLACK, Trajectory
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
 PD_TOL = 1e-8
 HESSIAN_ASYMMETRY_TOL = 1e-8
 DEFAULT_FD_SCALE = 1e-4
+# lasalle_diagnostics' defaults: the tail share of the samples and the dependence defect it must reach
+TAIL_FRACTION = 0.1
+DEFECT_TOL = 1e-6
 
 
 def augmented_energy(sys: SystemDefinition) -> ScalarField:
@@ -56,13 +59,14 @@ def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -
 
     ``M[i][j] = (d_j f(x + h e_i) - d_j f(x - h e_i)) / (2h)`` followed by
     ``(M + M^T)/2``.  The default step ``1e-4 * (1 + ||x||_inf)`` balances
-    truncation against rounding for exact gradients in double precision.
+    truncation against rounding for exact gradients in double precision;
+    a given ``h`` must be a finite number > 0.
     """
     point = np.asarray(x, dtype=float)
     if point.shape != (field.arity,):
         raise ValueError(f"point has shape {point.shape}, expected ({field.arity},)")
-    if h is not None and h <= 0:
-        raise ValueError("finite-difference step must be > 0")
+    if h is not None:
+        _check_positive(h, "finite-difference step")
     raw = _raw_hessian(field, point, h)
     return (raw + raw.T) / 2.0
 
@@ -90,7 +94,10 @@ def lyapunov_report(
     Warns (without failing) when ``x_e`` is not an equilibrium of the
     conservative field, since the test is then vacuous; the verdict is that
     of :func:`dynamics.classify_equilibrium` at its default tolerance.
+    ``pd_tol``, the least eigenvalue of a positive definite Hessian, must
+    be a finite number > 0.
     """
+    _check_positive(pd_tol, "pd_tol")
     point = np.asarray(x_e, dtype=float)
     field = augmented_energy(sys)
     xi_pi_norm = float(np.max(np.abs(conservative_field(sys, point))))
@@ -147,12 +154,19 @@ class LaSalleReport:
     converged_to_E: bool
 
 
+def _check_lasalle_arguments(tail_fraction: float, defect_tol: float) -> None:
+    """Raise ValueError unless ``tail_fraction`` is in (0, 1] and ``defect_tol`` is a finite number > 0."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    _check_positive(defect_tol, "defect_tol")
+
+
 def lasalle_diagnostics(
     traj: Trajectory,
     sys: SystemDefinition,
     x_e: Sequence[float],
-    tail_fraction: float = 0.1,
-    defect_tol: float = 1e-6,
+    tail_fraction: float = TAIL_FRACTION,
+    defect_tol: float = DEFECT_TOL,
 ) -> LaSalleReport:
     """Scan ``L = H_phi(x(t)) - H_phi(x_e)`` and the trajectory tail.
 
@@ -161,10 +175,10 @@ def lasalle_diagnostics(
     :func:`integrators.integrate` counts entropy increases by.  The tail (last ``tail_fraction`` of the
     samples) approximates the omega-limit set; convergence to the
     linear-dependence set is declared when its worst defect is within
-    ``defect_tol``.
+    ``defect_tol``, a finite number > 0; ``tail_fraction`` lies in
+    (0, 1].
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
+    _check_lasalle_arguments(tail_fraction, defect_tol)
     if traj.states.shape[1] != sys.n:
         raise ValueError(f"trajectory dimension {traj.states.shape[1]} != system dimension {sys.n}")
     offset = float(augmented_energy(sys).value_at(np.asarray(x_e, dtype=float)))
@@ -199,3 +213,4 @@ def lasalle_diagnostics(
         tail_spread=np.ptp(tail_states, axis=0),
         converged_to_E=bool(tail_max_defect <= defect_tol),
     )
+

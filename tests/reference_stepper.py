@@ -115,7 +115,7 @@ def reference_integrate(field, x0, t_span, control=mp.StepControl(), *, diagnost
     t_end = t1 - 1e-12 * max(1.0, abs(t1))
     attempts = 0
     recorder.monitor.max_error_ratio = 0.0
-    while t < t_end:
+    while t < t_end or recorder.monitor.steps_accepted == 0:
         h = min(h, t1 - t)
         attempts += 1
         if attempts > control.max_steps:

@@ -6,10 +6,17 @@ fail only a traced benchmark run, so this installs the tracer on the
 package, runs one job of each kind through it, and checks that the
 traced results equal untraced ones, that every traced name was called,
 and that uninstalling puts every patched attribute back.
+
+The set-up probe (``perfbench/setup_probe.py``) builds each workload's
+systems in a fresh interpreter; a failure there ends a benchmark run
+without a result, so it runs here too, once per workload.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +27,16 @@ from metriplectic import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def run_jobs(out_dir: Path) -> dict:
@@ -86,3 +98,23 @@ def test_traced_jobs_match_untraced_and_the_package_is_restored(tmp_path):
     assert moved == []
     uncalled = [name for _, _, name, _ in tracer_module.TRACED if tracer.calls(name) == 0]
     assert uncalled == []
+
+
+def test_set_up_probe_builds_every_workload_in_a_fresh_interpreter(tmp_path):
+    probes = {}
+    for hash_seed, (name, workload) in enumerate(sorted(load_perfbench("workloads").WORKLOADS.items()), start=1):
+        specs = workload(seed=hash_seed, workdir=tmp_path / name).setup_systems()
+        probes[name] = subprocess.Popen(
+            [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), str(ROOT / "src"), json.dumps(specs)],
+            cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        for name, probe in probes.items():
+            out, err = probe.communicate(timeout=60)
+            assert (probe.returncode, err) == (0, ""), name
+            ready, reference_s = out.splitlines()
+            assert ready == "ready" and float(reference_s) > 0, name
+    finally:
+        for probe in probes.values():
+            probe.kill()  # does nothing to a probe that has exited
+            probe.wait()

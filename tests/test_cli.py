@@ -1,4 +1,6 @@
+import inspect
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +139,19 @@ def test_default_tolerances_are_the_library_constants():
     parser = cli._build_parser()
     equilibrium = parser.parse_args(["equilibrium", "--point", "1,0,0"])
     assert (equilibrium.tol, equilibrium.pd_tol) == (dynamics.DEFAULT_EQUILIBRIUM_TOL, stability.PD_TOL)
-    assert parser.parse_args(["verify"]).tol == mp.VerificationPolicy().tolerance
+    verify, policy = parser.parse_args(["verify"]), mp.VerificationPolicy()
+    assert (verify.tol, verify.samples, (verify.box_lo, verify.box_hi)) == (policy.tolerance, policy.samples, policy.box)
+    simulate, control = parser.parse_args(["simulate", "--x0", "1,0,0", "--t1", "1"]), mp.StepControl()
+    assert (simulate.h, simulate.abs_tol, simulate.rel_tol, simulate.max_steps) == (
+        control.h, control.abs_tol, control.rel_tol, control.max_steps)
+    integrate = inspect.signature(mp.integrate).parameters
+    assert simulate.divergence_bound == integrate["divergence_bound"].default == mp.integrators.DIVERGENCE_BOUND
+    assert simulate.stride == integrate["stride"].default
+    lasalle = inspect.signature(mp.lasalle_diagnostics).parameters
+    assert simulate.tail_fraction == lasalle["tail_fraction"].default == stability.TAIL_FRACTION
+    assert simulate.defect_tol == lasalle["defect_tol"].default == stability.DEFECT_TOL
+    # the CLI's own: no library function has a default for these
+    assert (simulate.t0, simulate.guard_radius, simulate.seed, verify.seed) == (0.0, 1.0, 42, 42)
 
 
 def test_equilibrium_dimension_mismatch(tmp_path):
@@ -365,6 +379,49 @@ def test_csv_edge_values_match_fstring_formatting(tmp_path):
         cli._write_trajectory_csv(path, traj)
         assert path.read_bytes() == _fstring_csv(traj).encode()
     assert path.read_text().splitlines()[1].endswith(",nan,nan,nan,nan")
+
+
+# ---------------------------------------------------------------------------
+# numeric inputs
+
+@pytest.mark.parametrize("args, name", [
+    (["simulate", "--x0", "1,0,0", "--t1", "1", "--adaptive", "--abs-tol", "nan", "--max-steps", "1000"], "abs_tol"),
+    (["simulate", "--x0", "1,0,0", "--t1", "1", "--adaptive", "--rel-tol", "nan", "--max-steps", "1000"], "rel_tol"),
+    (["simulate", "--x0", "1,0,0", "--t1", "inf", "--adaptive"], "span"),
+    (["simulate", "--x0", "1,0,0", "--t1", "inf"], "span"),
+    (["simulate", "--x0", "1,0,0", "--t1", "1", "--h", "1e-320"], "inf steps"),
+    (["simulate", "--x0", "1.01,0,0", "--t1", "5", "--adaptive", "--h", "nan"], "h must be"),
+    (["verify", "--box-hi", "inf"], "sampling box"),
+    (["verify", "--box-lo", "nan"], "sampling box"),
+    (["verify", "--tol", "nan"], "tolerance"),
+    (["equilibrium", "--point", "1,0,0", "--tol", "nan"], "tolerance"),
+    (["equilibrium", "--point", "1,0,0", "--pd-tol", "nan"], "pd_tol"),
+    (["simulate", "--x0", "1.01,0,0", "--t1", "1", "--analyze", "--defect-tol", "nan"], "defect_tol"),
+    (["simulate", "--x0", "1.01,0,0", "--t1", "1", "--guard-center", "1,0,0", "--guard-radius", "nan"], "radius"),
+    (["equilibrium", "--point", "inf,0,0"], "--point"),
+])
+def test_numeric_inputs_outside_the_library_rule_are_usage_errors(tmp_path, capsys, args, name):
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    code = run(args, out)
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert not out.exists() and elapsed < 2.0
+
+
+def test_adaptive_span_shorter_than_the_end_slack_takes_a_step(tmp_path):
+    assert run(["simulate", "--x0", "1.01,0,0", "--t1", "1e-13", "--adaptive"], tmp_path) == 0
+    summary = read_json(tmp_path / "simulate_summary.json")
+    assert summary["status"] == "completed" and summary["samples"] == 2 and summary["steps_accepted"] == 1
+
+
+def test_a_config_that_fails_antisymmetry_names_its_file(tmp_path, capsys):
+    doc = rigid_doc("(x1^2 + x2^2 + x3^2)/2", "(s1 - 0.5)^2 - s1/3")
+    doc["poisson"][0][1] = "x3"
+    path = write_doc(tmp_path, "asym.json", doc)
+    assert run(["equilibrium", "--config", str(path), "--point", "1,0,0"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load {path}: Pi(x) + Pi(x)^T")
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -165,11 +166,25 @@ def test_linear_dependence_matches_the_diagnostics_defect(rigid, scale):
         assert abs(report.normalized_defect - mp.dependence_defect(rigid, x)) <= 1e-12
 
 
+def test_linear_dependence_where_the_gram_product_overflows(rigid, recwarn):
+    # ||g||^2 ||u||^2 overflows at this point, where the two gradients point in different directions
+    x = 1e100 * np.array([1.0, 0.7, 0.3])
+    g, u = rigid.hamiltonian.gradient_at(x), mp.compose_entropy(rigid).gradient_at(x)
+    report = mp.linear_dependence(g, u)
+    assert not report.dependent and report.lam is None
+    assert report.normalized_defect == pytest.approx(mp.linear_dependence(g / 1e100, u / 1e300).normalized_defect)
+    v = np.array([1e200, -2e200, 5e199])
+    report = mp.linear_dependence(v, 3.0 * v)
+    assert report.dependent and report.lam == pytest.approx(1 / 3) and report.normalized_defect <= 1e-15
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_linear_dependence_argument_checks():
     with pytest.raises(ValueError):
         mp.linear_dependence([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        mp.linear_dependence([1.0], [1.0], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.linear_dependence([1.0], [1.0], tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +227,9 @@ def test_full_equilibrium_that_is_not_conservative_raises(rigid, monkeypatch):
 
 
 def test_classify_tolerance_check(rigid):
-    with pytest.raises(ValueError):
-        mp.classify_equilibrium(rigid, [1.0, 0.0, 0.0], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.classify_equilibrium(rigid, [1.0, 0.0, 0.0], tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,14 @@ def test_step_that_does_not_advance_t_parity():
     assert "no longer advances t=" in str(ref)
 
 
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_span_shorter_than_the_end_slack_takes_one_step_parity(mode):
+    # t1 - 1e-12 lies below t0 here, and both loops still take their one step
+    field = _marked(lambda xs: (-xs[0], xs[0]), 2)
+    ref = _check(field, [1.0, 0.0], (0.0, 1e-13), mp.StepControl(mode=mode, h=1e-3))
+    assert ref.times.tolist() == [0.0, 1e-13] and ref.monitor.steps_accepted == 1
+
+
 def test_max_steps_parity():
     field = _marked(lambda xs: (-xs[0], xs[0]), 2)
     ref = _check(field, [1.0, 0.0], (0.0, 1.0), mp.StepControl(h=1e-3, max_steps=999))

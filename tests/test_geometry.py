@@ -92,8 +92,9 @@ def test_constant_field_is_casimir():
 def test_verify_casimir_argument_checks():
     with pytest.raises(ValueError):
         mp.verify_casimir(rigid_poisson(), norm_casimir(), [], tol=1e-6)
-    with pytest.raises(ValueError):
-        mp.verify_casimir(rigid_poisson(), norm_casimir(), [[0, 0, 0]], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.verify_casimir(rigid_poisson(), norm_casimir(), [[0, 0, 0]], tol=tol)
 
 
 def test_verify_casimir_reports_bad_point():
@@ -272,12 +273,14 @@ def test_arity_mismatch_rejected():
 
 
 def test_verification_policy_validation():
-    with pytest.raises(ValueError):
-        mp.VerificationPolicy(box=(2.0, -2.0))
+    for box in ((2.0, -2.0), (-2.0, math.inf), (math.nan, 2.0), (-math.inf, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            mp.VerificationPolicy(box=box)
     with pytest.raises(ValueError):
         mp.VerificationPolicy(samples=-1)
-    with pytest.raises(ValueError):
-        mp.VerificationPolicy(tolerance=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.VerificationPolicy(tolerance=tol)
 
 
 @pytest.mark.parametrize("casimirs", [0, 1])

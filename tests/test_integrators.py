@@ -33,8 +33,9 @@ def test_rk4_constant_field_exact():
 
 
 def test_rk4_bad_step():
-    with pytest.raises(ValueError):
-        mp.rk4_step(lambda x: x, np.array([1.0]), 0.0, 0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.rk4_step(lambda x: x, np.array([1.0]), 0.0, h)
 
 
 def test_rk4_stage_error_reported(rigid):
@@ -105,6 +106,9 @@ def test_stride_stores_fewer_samples_but_monitors_every_step(rigid):
 def test_max_steps_exceeded():
     with pytest.raises(mp.IntegrationError):
         mp.integrate(lambda x: -x, [1.0], (0.0, 1.0), mp.StepControl(h=1e-4, max_steps=100))
+    # a step count that overflows to inf fails the same budget check
+    with pytest.raises(mp.IntegrationError, match="inf steps of h=.* exceed max_steps="):
+        mp.integrate(lambda x: -x, [1.0], (0.0, 1.0), mp.StepControl(h=1e-320))
 
 
 def test_divergence_raises_with_partial_trajectory():
@@ -138,8 +142,9 @@ def test_escape_guard_truncates(rigid):
 
 
 def test_escape_guard_needs_radius():
-    with pytest.raises(ValueError):
-        mp.integrate(lambda x: x, [1.0], (0.0, 1.0), escape_center=[0.0])
+    for radius in (None, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.integrate(lambda x: x, [1.0], (0.0, 1.0), escape_center=[0.0], escape_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +210,10 @@ def test_step_control_validation():
         mp.StepControl(mode="leapfrog")
     with pytest.raises(ValueError):
         mp.StepControl(h=0.0)
-    with pytest.raises(ValueError):
-        mp.StepControl(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        mp.StepControl(max_steps=0)
+    for name in ("h", "abs_tol", "rel_tol", "max_steps"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mp.StepControl(**{name: value})
 
 
 def test_trajectory_invariants():
@@ -221,7 +226,8 @@ def test_trajectory_invariants():
 
 
 def test_integrate_argument_checks():
-    with pytest.raises(ValueError):
-        mp.integrate(lambda x: x, [1.0], (1.0, 1.0))
+    for span in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            mp.integrate(lambda x: x, [1.0], span)
     with pytest.raises(ValueError):
         mp.integrate(lambda x: x, [1.0], (0.0, 1.0), stride=0)

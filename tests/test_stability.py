@@ -1,3 +1,4 @@
+import math
 import warnings
 from pathlib import Path
 
@@ -108,8 +109,9 @@ def test_hessian_argument_checks(rigid):
     field = mp.augmented_energy(rigid)
     with pytest.raises(ValueError):
         mp.hessian(field, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        mp.hessian(field, [1.0, 0.0, 0.0], h=0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.hessian(field, [1.0, 0.0, 0.0], h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +228,20 @@ def test_diagnostics_computed_when_missing(rigid):
         assert np.array_equal(getattr(c, name), getattr(a, name)), name
 
 
+def test_lyapunov_pd_tol_check(rigid):
+    for pd_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.lyapunov_report(rigid, [1.0, 0.0, 0.0], pd_tol=pd_tol)
+
+
 def test_lasalle_argument_checks(rigid):
     traj = mp.Trajectory(times=np.array([0.0]), states=np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        mp.lasalle_diagnostics(traj, rigid, [1.0, 0.0, 0.0], tail_fraction=0.0)
+    for tail_fraction in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            mp.lasalle_diagnostics(traj, rigid, [1.0, 0.0, 0.0], tail_fraction=tail_fraction)
+    for defect_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mp.lasalle_diagnostics(traj, rigid, [1.0, 0.0, 0.0], defect_tol=defect_tol)
     bad = mp.Trajectory(times=np.array([0.0]), states=np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         mp.lasalle_diagnostics(bad, rigid, [1.0, 0.0, 0.0])
