@@ -35,10 +35,6 @@ def load_perfbench(name):
     return module
 
 
-def load_tracer():
-    return load_perfbench("tracer")
-
-
 def run_jobs(out_dir: Path) -> dict:
     """One job of each kind the benchmark traces; returns everything they produce."""
     results = {}
@@ -79,7 +75,7 @@ def attributes(tracer_module) -> dict:
 
 
 def test_traced_jobs_match_untraced_and_the_package_is_restored(tmp_path):
-    tracer_module = load_tracer()
+    tracer_module = load_perfbench("tracer")
     untraced = run_jobs(tmp_path / "untraced")
     before = attributes(tracer_module)
 

@@ -10,7 +10,6 @@ without a traceback, a usage error says what is wrong, a successful
 
 import contextlib
 import io
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -20,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metriplectic import cli
+from test_cli import _strict_json
 
 EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, -1.0, 1e300)
 
@@ -45,7 +45,7 @@ def vectors(normal):
 
 # option -> strategy for its value; ``True`` marks a flag without a value.
 # The step budget and sample count stay small so that every run is short;
-# t1 takes every edge but 1e300, and no span beats the step budget.
+# t1 takes every edge but 1e300, and the budget bounds every longer span.
 COMMANDS = {
     "verify": ({"--samples": ints(20)}, {
         "--box-lo": floats(-2.0), "--box-hi": floats(2.0), "--tol": floats(1e-10), "--seed": ints(7),
@@ -78,10 +78,6 @@ def invocations(command):
     return st.fixed_dictionaries(required, optional=optional).map(lambda options: _argv(command, options))
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
-
-
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_numeric_input_ends_in_a_defined_exit(command):
     run_and_check = settings(derandomize=True, database=None, max_examples=EXAMPLES[command], deadline=None,
@@ -99,10 +95,7 @@ def _run_and_check(argv):
         assert "Traceback" not in stderr + out.getvalue()
         if code == 2:
             assert stderr.startswith(("error:", "cannot load")), stderr
-        written = {path.name: path for path in Path(tmp).iterdir()}
-        for name, path in written.items():
-            if name.endswith(".json"):
-                json.loads(path.read_text(), parse_constant=_reject_constant)
+        reports = {path.name: _strict_json(path) for path in Path(tmp).glob("*.json")}
         if code == 0 and argv[0] == "simulate":
-            summary = json.loads(written["simulate_summary.json"].read_text())
+            summary = reports["simulate_summary.json"]
             assert summary["status"] == "completed" and summary["samples"] >= 2, summary

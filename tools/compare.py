@@ -48,7 +48,7 @@ SYSTEMS = {
 }
 T1 = 20.0
 
-DRIVER = r"""
+RUNNER = r"""
 import contextlib, io, json, sys, traceback, warnings
 from pathlib import Path
 from metriplectic import cli
@@ -89,24 +89,24 @@ def identity_runs(systems=tuple(SYSTEMS), t1: float = T1) -> list:
 
 
 def start_runs(tree: Path, out: Path, runs: list) -> subprocess.Popen:
-    """Start the driver that runs ``runs`` on the package in ``tree``, writing under ``out``."""
+    """Start the interpreter that runs ``runs`` on the package in ``tree``, writing under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    return subprocess.Popen([sys.executable, "-c", DRIVER, json.dumps(runs), str(out)],
+    return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(runs), str(out)],
                             cwd=tree, env=env, stderr=subprocess.PIPE, text=True)
 
 
 def run_trees(trees: list, outs: list, runs: list) -> None:
     """Run ``runs`` in every tree at once, each writing to its ``outs`` entry."""
-    drivers = [start_runs(tree, out, runs) for tree, out in zip(trees, outs)]
+    runners = [start_runs(tree, out, runs) for tree, out in zip(trees, outs)]
     try:
-        for tree, driver in zip(trees, drivers):
-            _, err = driver.communicate()
-            if driver.returncode != 0:
+        for tree, runner in zip(trees, runners):
+            _, err = runner.communicate()
+            if runner.returncode != 0:
                 raise RuntimeError(f"identity runs failed in {tree}:\n{err}")
     finally:
-        for driver in drivers:
-            driver.kill()  # does nothing to a driver that has exited
-            driver.wait()
+        for runner in runners:
+            runner.kill()  # does nothing to a runner that has exited
+            runner.wait()
 
 
 def _normalized(path: Path, tree: Path) -> bytes:
