@@ -310,7 +310,8 @@ def integrate(
     """Integrate ``dx/dt = field(x)`` over ``t_span = (t0, t1)``.
 
     The span ``t1 - t0`` must be a finite number > 0, and so must
-    ``escape_radius`` when a guard is set.  Samples are stored at every
+    ``escape_radius`` when a guard is set and, in adaptive mode, the
+    first half step ``min(h, t1 - t0) / 2``.  Samples are stored at every
     accepted step (or every ``stride``-th, plus always the final state).  ``diagnostics`` is an optional
     state -> 4-tuple callable; when given, each stored sample carries a
     record and per-step monitors are maintained regardless of stride
@@ -341,6 +342,8 @@ def integrate(
         _check_positive(escape_radius, "escape radius")
         escaped = lambda xs: np.linalg.norm(np.array(xs) - escape_center) > escape_radius
 
+    if control.mode == "adaptive":  # the loop's first half step, which must not underflow to 0
+        _check_positive(0.5 * min(control.h, t1 - t0), f"first half step of h={control.h!r} over span {t_span!r}")
     n_steps = 0
     if control.mode == "fixed":
         steps = (t1 - t0) / control.h - 1e-9

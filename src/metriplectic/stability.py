@@ -213,4 +213,3 @@ def lasalle_diagnostics(
         tail_spread=np.ptp(tail_states, axis=0),
         converged_to_E=bool(tail_max_defect <= defect_tol),
     )
-

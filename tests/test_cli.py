@@ -399,6 +399,7 @@ def test_csv_edge_values_match_fstring_formatting(tmp_path):
     (["simulate", "--x0", "1.01,0,0", "--t1", "1", "--analyze", "--defect-tol", "nan"], "defect_tol"),
     (["simulate", "--x0", "1.01,0,0", "--t1", "1", "--guard-center", "1,0,0", "--guard-radius", "nan"], "radius"),
     (["equilibrium", "--point", "inf,0,0"], "--point"),
+    (["simulate", "--x0", "1.01,0,0", "--t1", "5e-324", "--adaptive"], "first half step"),
 ])
 def test_numeric_inputs_outside_the_library_rule_are_usage_errors(tmp_path, capsys, args, name):
     out = tmp_path / "out"

@@ -1,6 +1,6 @@
 """Compare the package's CLI outputs between the working tree and another revision.
 
-    python3 tools/compare.py identity --parent <rev> [--system NAME ...] [--t1 T]
+    python3 tools/compare.py identity --parent <rev>
 
 ``identity`` runs the identity runs in the working tree and in a
 ``git archive`` copy of ``<rev>``, compares what each run leaves behind,
@@ -156,12 +156,9 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     identity = commands.add_parser("identity", help="compare the identity runs' outputs with another revision")
     identity.add_argument("--parent", required=True, help="git revision to compare the working tree with")
-    identity.add_argument("--system", action="append", choices=sorted(SYSTEMS),
-                          help="run only this system (repeatable; default: all five)")
-    identity.add_argument("--t1", type=float, default=T1, help="end time of the simulate runs")
     args = parser.parse_args(argv)
 
-    runs = identity_runs(args.system or tuple(SYSTEMS), args.t1)
+    runs = identity_runs()
     scratch = Path(tempfile.mkdtemp(prefix="compare-"))
     try:
         parent = archive(args.parent, scratch / "parent")
