@@ -516,13 +516,13 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str)
     A body is a list of statement lines, ending in a ``return``, over the
     locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
     run with :data:`SOURCE_ENV` in scope, and each maps a math error raised
-    inside it to :class:`EvaluationError` naming ``xs``.
+    inside it to :class:`EvaluationError` naming its text (no errno) and ``xs``.
     """
     unpack = "".join(f"        x{i + 1} = xs[{i}]\n" for i in range(arity))
     source = "".join(
         f"def {name}(xs):\n    try:\n{unpack}" + "".join(f"        {line}\n" for line in body)
         + "    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:\n"
-        + '        raise EvaluationError(f"{exc} at x={xs}") from exc\n'
+        + '        raise EvaluationError(f"{exc.args[-1] if exc.args else exc} at x={xs}") from exc\n'
         for name, body in bodies.items()
     )
     namespace = exec_source(source, label, SOURCE_ENV, next(iter(bodies)))

@@ -115,8 +115,9 @@ class Trajectory:
     """Time-ordered samples with optional per-sample diagnostics.
 
     ``diagnostics`` has one row per sample with columns
-    :data:`DIAGNOSTIC_COLUMNS`.  ``status`` is "completed" or "escaped"
-    (the escape guard truncates the run without raising).
+    :data:`DIAGNOSTIC_COLUMNS`.  ``status`` is "completed", "escaped"
+    (the escape guard truncates the run without raising) or "diverged"
+    (the partial trajectory a :class:`DivergenceError` carries).
     """
 
     times: np.ndarray
@@ -218,7 +219,10 @@ def _loop_source(n: int, adaptive: bool) -> str:
             f"    return 'diverged', bad_state({lst('x')}, tn, bound), None, {mon}",
             "acc += 1",
             "if D is not None:",
-            f"    rec = D({lst('x')}); dr = abs(rec[0] - e0); inc = rec[1] - sl",
+            f"    try: rec = D({lst('x')})",
+            "    except EvaluationError as exc:"
+            f" return 'diverged', f'diagnostics evaluation failed at t={{tn!r}}: {{exc}}', exc, {mon}",
+            "    dr = abs(rec[0] - e0); inc = rec[1] - sl",
             "    if dr > md: md = dr",
             f"    if inc > {MONOTONE_SLACK!r} and inc > {MONOTONE_SLACK!r} * (1.0 + abs(sl)): cnt += 1",
             "    if inc > mi: mi = inc",
@@ -320,8 +324,8 @@ def integrate(
 
     Raises :class:`DivergenceError` (with the partial trajectory) when
     the state becomes non-finite, exceeds ``divergence_bound``, or the
-    field fails to evaluate, and in adaptive mode when the error
-    estimate is non-finite or an accepted step no longer advances t.
+    field or an accepted state's diagnostics fail to evaluate, and in adaptive
+    mode when the error estimate is non-finite or an accepted step no longer advances t.
     The escape guard --- leaving the ball of ``escape_radius`` around
     ``escape_center`` --- truncates the run and flags the trajectory
     instead of raising.

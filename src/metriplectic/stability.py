@@ -5,30 +5,32 @@ An equilibrium x_e is certified by the augmented energy
 Hessian is positive definite at x_e, then ``L = H_phi - H_phi(x_e)`` is
 a Lyapunov function for the dissipative dynamics and trajectories
 started nearby approach the set where grad H and grad phi(C) are
-linearly dependent.  The convergence half is checked a posteriori on a
-computed trajectory: L must be nonincreasing step to step (within
-slack), and the trajectory tail, the computable stand-in for the
-omega-limit set, must sit at a small dependence defect.
+linearly dependent.  The Hessian is exact: the gradient trees are
+differentiated once more and compiled, once per system, and the
+finite-difference :func:`hessian` is kept as a cross-check.  The
+convergence half is checked a posteriori on a computed trajectory: L
+must be nonincreasing step to step (within slack), and the trajectory
+tail, the computable stand-in for the omega-limit set, must sit at a
+small dependence defect.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import expressions as ex
 from .dynamics import _compiled, _equilibrium_threshold, conservative_field
-from .geometry import ScalarField, SystemDefinition, _check_positive, compose_entropy
+from .geometry import ScalarField, SystemDefinition, _check_positive, _compile, as_state, compose_entropy
 from .integrators import MONOTONE_SLACK, Trajectory
 
 __all__ = [
     "LyapunovReport",
     "LaSalleReport",
     "PD_TOL",
-    "HESSIAN_ASYMMETRY_TOL",
     "augmented_energy",
     "hessian",
     "lyapunov_report",
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 PD_TOL = 1e-8
-HESSIAN_ASYMMETRY_TOL = 1e-8
 DEFAULT_FD_SCALE = 1e-4
 # lasalle_diagnostics' defaults: the tail share of the samples and the dependence defect it must reach
 TAIL_FRACTION = 0.1
@@ -54,8 +55,17 @@ def augmented_energy(sys: SystemDefinition) -> ScalarField:
     return sys._augmented_energy
 
 
+def _hessian_kernel(sys: SystemDefinition) -> Callable:
+    """Kernel of the upper triangle of the exact Hessian of H_phi, row by row, built once per system."""
+    if sys._hessian is None:
+        gradient = augmented_energy(sys).gradient
+        upper = [ex.differentiate(gradient[i], j + 1) for i in range(sys.n) for j in range(i, sys.n)]
+        (sys._hessian,) = _compile(sys.n, "hessian", hessian=upper)
+    return sys._hessian
+
+
 def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:
-    """Symmetrized central finite differences of the symbolic gradient.
+    """Symmetrized central finite differences of the gradient: the exact Hessian's cross-check.
 
     ``M[i][j] = (d_j f(x + h e_i) - d_j f(x - h e_i)) / (2h)`` followed by
     ``(M + M^T)/2``.  The default step ``1e-4 * (1 + ||x||_inf)`` balances
@@ -65,9 +75,12 @@ def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -
     point = np.asarray(x, dtype=float)
     if point.shape != (field.arity,):
         raise ValueError(f"point has shape {point.shape}, expected ({field.arity},)")
-    if h is not None:
+    if h is None:
+        h = DEFAULT_FD_SCALE * (1.0 + float(np.max(np.abs(point))))
+    else:
         _check_positive(h, "finite-difference step")
-    raw = _raw_hessian(field, point, h)
+    steps = h * np.eye(field.arity)
+    raw = np.array([(field.gradient_at(point + e) - field.gradient_at(point - e)) / (2.0 * h) for e in steps])
     return (raw + raw.T) / 2.0
 
 
@@ -77,7 +90,7 @@ class LyapunovReport:
 
     point: np.ndarray
     grad_norm: float  # ||grad H_phi(x_e)||_inf; ~0 is the critical-point condition
-    hessian: np.ndarray
+    hessian: np.ndarray  # exact, symmetric by construction
     eigenvalues: np.ndarray  # ascending
     positive_definite: bool
     lyapunov_offset: float  # H_phi(x_e); the Lyapunov candidate is H_phi - offset
@@ -108,14 +121,9 @@ def lyapunov_report(
             stacklevel=2,
         )
     grad_norm = float(np.max(np.abs(field.gradient_at(point))))
-    raw = _raw_hessian(field, point, None)
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > HESSIAN_ASYMMETRY_TOL:
-        raise ValueError(
-            f"finite-difference Hessian asymmetry {asym:.3e} exceeds "
-            f"{HESSIAN_ASYMMETRY_TOL:g}; the gradient looks inconsistent"
-        )
-    sym = (raw + raw.T) / 2.0
+    sym = np.empty((sys.n, sys.n))
+    rows, cols = np.triu_indices(sys.n)  # row by row, the order of _hessian_kernel's triangle
+    sym[rows, cols] = sym[cols, rows] = _hessian_kernel(sys)(as_state(point, sys.n))
     eigenvalues = np.linalg.eigvalsh(sym)
     return LyapunovReport(
         point=point,
@@ -126,20 +134,6 @@ def lyapunov_report(
         lyapunov_offset=float(field.value_at(point)),
         pd_tol=pd_tol,
     )
-
-
-def _raw_hessian(field: ScalarField, point: np.ndarray, h: Optional[float]) -> np.ndarray:
-    if h is None:
-        h = DEFAULT_FD_SCALE * (1.0 + float(np.max(np.abs(point))))
-    n = field.arity
-    mat = np.empty((n, n))
-    for i in range(n):
-        hi = point.copy()
-        lo = point.copy()
-        hi[i] += h
-        lo[i] -= h
-        mat[i] = (field.gradient_at(hi) - field.gradient_at(lo)) / (2.0 * h)
-    return mat
 
 
 @dataclass(frozen=True)

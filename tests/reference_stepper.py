@@ -58,7 +58,10 @@ class _Recorder:
         if np.max(np.abs(x)) > self.divergence_bound:
             raise self.divergence(f"state exceeded divergence bound {self.divergence_bound:g} at t={t!r}")
         self.monitor.steps_accepted += 1
-        record = self.observe(t, x, -1 if last else self.monitor.steps_accepted)
+        try:
+            record = self.observe(t, x, -1 if last else self.monitor.steps_accepted)
+        except mp.EvaluationError as exc:
+            raise self.divergence(f"diagnostics evaluation failed at t={t!r}: {exc}") from exc
         if self.escape_center is not None and np.linalg.norm(x - self.escape_center) > self.escape_radius:
             self._store(t, x, record)
             return True

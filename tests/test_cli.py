@@ -113,6 +113,21 @@ def test_equilibrium_origin(tmp_path):
     assert report["lyapunov"]["positive_definite"] is False
 
 
+@pytest.mark.parametrize("point", ["100,70,30", "1e60,7e59,3e59"])
+def test_equilibrium_far_from_the_origin_is_decided(tmp_path, point):
+    # the finite-difference Hessian's rounding here failed an absolute asymmetry check
+    assert run(["equilibrium", "--point", point], tmp_path) == 0
+    hessian = np.array(read_json(tmp_path / "equilibrium_report.json")["lyapunov"]["hessian"])
+    assert np.array_equal(hessian, hessian.T)
+
+
+def test_an_overflowing_power_reports_its_text_and_point(tmp_path, capsys):
+    assert run(["equilibrium", "--point", "1e300,0,0"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" at x=[1e+300, 0.0, 0.0]\n")
+    assert "(34," not in err
+
+
 def test_equilibrium_inconsistency_is_a_verification_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "conservative_field", lambda sys_def, x: np.ones(3))
     assert run(["equilibrium", "--point", "1,0,0"], tmp_path) == cli.EXIT_FAIL
@@ -212,6 +227,24 @@ def test_simulate_divergence_flushes_partial(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) > 100  # partial trajectory flushed
     assert lines[0].startswith("t,x1,x2,")
+
+
+def test_simulate_diagnostics_failure_after_a_step_flushes_partial(tmp_path, capsys):
+    # ln(x2 + 0.5) in H leaves its domain at t=16.05; the field's 0.001/(x2 + 0.5) does not fail there
+    doc = rigid_doc("(x1^2 + x2^2 + x3^2)/2", "(s1 - 0.5)^2 - s1/3")
+    doc["hamiltonian"] = "(x1^2/3 + x2^2/2 + x3^2)/2 + 0.001*ln(x2 + 0.5)"
+    path = write_doc(tmp_path, "ln.json", doc)
+    args = ["simulate", "--config", str(path), "--field", "conservative", "--t1", "60", "--h", "1e-2"]
+    assert run(args + ["--x0", "0.05,0.8,0.05"], tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: diagnostics evaluation failed at t=16.05: math domain error at x=[")
+    summary = read_json(tmp_path / "run" / "simulate_summary.json")
+    assert summary["status"] == "diverged" and summary["samples"] == 1605
+    assert len((tmp_path / "run" / "trajectory.csv").read_text().splitlines()) == 1606
+    # at t0 there is no step to keep: a usage error that writes nothing
+    assert run(args + ["--x0", "0.05,-0.6,0.05"], tmp_path / "start") == 2
+    assert capsys.readouterr().err.startswith("error: math domain error at x=[0.05, -0.6, 0.05]")
+    assert not (tmp_path / "start").exists()
 
 
 def test_simulate_escape_guard(tmp_path):

@@ -4,8 +4,10 @@
 drawn from nan, +-inf, +-0, subnormals, -1, 1e300 and one ordinary value,
 each vector component from the same set and each int option from -1, 0,
 1 and one ordinary value.  Whatever the mix, the run exits 0, 1, 2 or 3
-without a traceback, a usage error says what is wrong, a successful
-``simulate`` has really stepped, and every JSON file it writes is strict.
+without a traceback, a usage error says what is wrong and writes no
+file, a ``simulate`` exits 3 exactly when the trajectory it writes is
+partial, a successful one has really stepped, and every JSON file it
+writes is strict.
 """
 
 import contextlib
@@ -95,7 +97,11 @@ def _run_and_check(argv):
         assert "Traceback" not in stderr + out.getvalue()
         if code == 2:
             assert stderr.startswith(("error:", "cannot load")), stderr
+        written = sorted(path.name for path in Path(tmp).iterdir())
+        if code == 2:
+            assert not written, written
         reports = {path.name: _strict_json(path) for path in Path(tmp).glob("*.json")}
-        if code == 0 and argv[0] == "simulate":
+        if code in (0, 3) and argv[0] == "simulate":  # exit 3 exactly when the trajectory written is partial
             summary = reports["simulate_summary.json"]
-            assert summary["status"] == "completed" and summary["samples"] >= 2, summary
+            assert "trajectory.csv" in written and (code == 3) == (summary["status"] != "completed"), summary
+            assert code == 3 or summary["samples"] >= 2, summary

@@ -265,6 +265,14 @@ def test_compiled_kernels_map_math_errors_themselves(body, xs, cause):
     assert str(info.value) == f"{info.value.__cause__} at x={xs}"
 
 
+def test_compiled_kernel_error_drops_the_errno_of_an_overflowing_power():
+    kernel = ex.compile_kernels(1, {"f": ["return x1**2"]}, "test")["f"]
+    with pytest.raises(ex.EvaluationError) as info:
+        kernel([1e300])
+    errno, text = info.value.__cause__.args  # e.g. (34, 'Numerical result out of range')
+    assert str(info.value) == f"{text} at x=[1e+300]"
+
+
 def test_substitute_composition():
     phi = ex.parse("s1^2 - s1/3", 1, "s")
     c = ex.parse("(x1^2 + x2^2)/2", 2)

@@ -245,6 +245,33 @@ def test_stage_error_parity(mode, failing_call):
     assert ref.__cause__.stage == stage
 
 
+# call 1 is the diagnostics of the initial state; fixed: steps 1 and 6; adaptive: accepted steps 1 and 6
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("failing_call", [1, 2, 7])
+def test_diagnostics_error_parity(mode, failing_call):
+    calls = [0]
+
+    def kernel(xs):
+        calls[0] += 1
+        if calls[0] == failing_call:
+            raise mp.EvaluationError(f"boom at x={xs}")
+        return (xs[0] ** 2, xs[1], 0.0, 0.0)
+
+    field = _marked(lambda xs: tuple(-0.5 * v for v in xs), 2)
+    diagnostics = KernelFunction(2, kernel, tuple)  # as diagnostics_function returns it
+    control = mp.StepControl(h=0.1) if mode == "fixed" else mp.StepControl(mode="adaptive", h=0.1)
+    ref = _run(reference_integrate, field, [1.0, -2.0], (0.0, 5.0), control, diagnostics=diagnostics)
+    for f, d in _both(field, diagnostics):
+        calls[0] = 0
+        assert_same_run(_run(mp.integrate, f, [1.0, -2.0], (0.0, 5.0), control, diagnostics=d), ref)
+    if failing_call == 1:  # no step has been taken: the error itself
+        assert type(ref) is mp.EvaluationError
+        return
+    assert isinstance(ref, mp.DivergenceError) and str(ref).startswith("diagnostics evaluation failed at t=")
+    assert type(ref.__cause__) is mp.EvaluationError and str(ref).endswith(str(ref.__cause__))
+    assert ref.trajectory.status == "diverged" and len(ref.trajectory) == failing_call - 1
+
+
 def test_domain_error_in_a_system_kernel_parity():
     # x1' = -1 takes x1 out of sqrt's domain at the stage-4 point of step 5
     sys_def = mp.load_system({"name": "edge", "dimension": 2, "poisson": [["0", "1"], ["-1", "0"]],

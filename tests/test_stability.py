@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import metriplectic as mp
+from metriplectic import cli, stability
 from metriplectic import expressions as ex
+from test_compiled_path import E3_DOCUMENT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,8 +21,28 @@ PARAM_GRID = [
 ]
 
 
+# the identity systems of tools/compare.py, each at its equilibrium
+IDENTITY_SYSTEMS = {
+    "rigid": (lambda: mp.rigid_body_system(), [1.0, 0.0, 0.0]),
+    "rigid-params": (lambda: mp.rigid_body_system(mp.RigidBodyParams(5.0, 3.0, 2.0, 2.0)), [2.0, 0.0, 0.0]),
+    "rigid-config": (lambda: mp.load_system_file(CONFIG_DIR / "rigid_body.json"), [1.0, 0.0, 0.0]),
+    "rigid-x3-config": (lambda: mp.load_system_file(CONFIG_DIR / "rigid_body_x3_axis.json"), [0.0, 0.0, 1.0]),
+    "e3": (lambda: mp.load_system(E3_DOCUMENT), [0.0, 0.0, 0.0, 0.0, 0.0, -2.5]),
+}
+
+
 def analytic_hessian_eigs(p: mp.RigidBodyParams) -> np.ndarray:
     return np.sort([1 / p.I2 - 1 / p.I1, 1 / p.I3 - 1 / p.I1, 2 * p.M0 * p.M0])
+
+
+def exact_hessian(field: mp.ScalarField, x) -> np.ndarray:
+    """The tree-walked derivatives of the gradient trees, upper triangle mirrored."""
+    n = field.arity
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = ex.evaluate(ex.differentiate(field.gradient[i], j + 1), x)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +88,7 @@ def test_augmented_energy_is_built_once_per_system():
     for p in mp.sample_box(3, (-2.0, 2.0), 50, seed=4):
         assert field.value_at(p) == fresh.value_at(p)
         assert np.array_equal(field.gradient_at(p), fresh.gradient_at(p))
-    assert np.array_equal(report.hessian, mp.hessian(fresh, x_e))
+    assert np.array_equal(report.hessian, exact_hessian(fresh, x_e))
     assert report.lyapunov_offset == fresh.value_at(x_e)
     again = mp.lyapunov_report(sys_def, x_e)
     assert np.array_equal(again.eigenvalues, report.eigenvalues) and again.grad_norm == report.grad_norm
@@ -165,6 +187,41 @@ def test_grid_of_parameters_matches_analytic_hessian():
         assert report.grad_norm <= 1e-8
         assert report.eigenvalues == pytest.approx(analytic_hessian_eigs(params), abs=1e-6)
         assert report.positive_definite
+
+
+def test_near_degenerate_rigid_body_gets_its_smallest_eigenvalue():
+    # I2 = I1 - 3e-6: central differences at h = 1e-4 * 21 read 4.74e-6 for 1/I2 - 1/I1 = 3.33e-7
+    params = mp.RigidBodyParams(3.0, 3.0 - 3e-6, 1.0, 20.0)
+    report = mp.lyapunov_report(mp.rigid_body_system(params), [20.0, 0.0, 0.0])
+    assert report.eigenvalues[0] == pytest.approx(1 / params.I2 - 1 / params.I1, rel=1e-12)
+    assert report.positive_definite
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SYSTEMS))
+def test_exact_hessian_agrees_with_finite_differences(name):
+    build, x_e = IDENTITY_SYSTEMS[name]
+    sys_def = build()
+    report = mp.lyapunov_report(sys_def, x_e)
+    assert np.array_equal(report.hessian, report.hessian.T)
+    assert np.max(np.abs(report.hessian - mp.hessian(mp.augmented_energy(sys_def), x_e))) <= 1e-6
+    assert report.positive_definite == (name != "rigid-x3-config")
+
+
+def test_hessian_kernel_is_built_once_per_system_and_only_by_lyapunov_report(tmp_path, monkeypatch):
+    sys_def = mp.rigid_body_system()
+    traj = mp.integrate(mp.field_function(sys_def, "metriplectic"), [1.01, 0.05, -0.03], (0.0, 1.0),
+                        mp.StepControl(h=1e-2))
+    mp.lasalle_diagnostics(traj, sys_def, [1.0, 0.0, 0.0])
+    assert sys_def._augmented_energy is not None and sys_def._hessian is None
+    mp.lyapunov_report(sys_def, [1.0, 0.0, 0.0])
+    kernel = sys_def._hessian
+    assert kernel is not None
+    mp.lyapunov_report(sys_def, [0.5, 0.0, 0.0])
+    assert sys_def._hessian is kernel
+    # simulate --analyze runs lasalle_diagnostics and never builds the kernel
+    monkeypatch.setattr(stability, "_hessian_kernel", None)
+    assert cli.main(["simulate", "--x0", "1.01,0.05,-0.03", "--t1", "1", "--h", "1e-2", "--analyze",
+                     "--out-dir", str(tmp_path)]) == 0
 
 
 def test_x3_axis_candidate_entropy_fails_definiteness():
