@@ -522,7 +522,7 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str)
     source = "".join(
         f"def {name}(xs):\n    try:\n{unpack}" + "".join(f"        {line}\n" for line in body)
         + "    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:\n"
-        + '        raise EvaluationError(f"{exc.args[-1] if exc.args else exc} at x={xs}") from exc\n'
+        + '        raise EvaluationError(f"{exc.args[-1]} at x={xs}") from exc\n'
         for name, body in bodies.items()
     )
     namespace = exec_source(source, label, SOURCE_ENV, next(iter(bodies)))

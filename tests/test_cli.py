@@ -121,13 +121,6 @@ def test_equilibrium_far_from_the_origin_is_decided(tmp_path, point):
     assert np.array_equal(hessian, hessian.T)
 
 
-def test_an_overflowing_power_reports_its_text_and_point(tmp_path, capsys):
-    assert run(["equilibrium", "--point", "1e300,0,0"], tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(" at x=[1e+300, 0.0, 0.0]\n")
-    assert "(34," not in err
-
-
 def test_equilibrium_inconsistency_is_a_verification_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "conservative_field", lambda sys_def, x: np.ones(3))
     assert run(["equilibrium", "--point", "1,0,0"], tmp_path) == cli.EXIT_FAIL
