@@ -325,7 +325,6 @@ class SystemDefinition:
         self._entropy_field: Optional[ScalarField] = None
         self._compiled = None  # filled by dynamics on first use
         self._augmented_energy: Optional[ScalarField] = None  # filled by stability on first use
-        self._hessian: Optional[Callable] = None  # filled by stability.lyapunov_report on first use
 
         if verification.samples > 0:
             pts = sample_box(n, verification.box, verification.samples, verification.seed)

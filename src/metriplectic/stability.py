@@ -5,8 +5,8 @@ An equilibrium x_e is certified by the augmented energy
 Hessian is positive definite at x_e, then ``L = H_phi - H_phi(x_e)`` is
 a Lyapunov function for the dissipative dynamics and trajectories
 started nearby approach the set where grad H and grad phi(C) are
-linearly dependent.  The Hessian is exact: the gradient trees are
-differentiated once more and compiled, once per system, and the
+linearly dependent.  The Hessian is exact: each report differentiates
+the gradient trees once more and compiles the upper triangle, and the
 finite-difference :func:`hessian` is kept as a cross-check.  The
 convergence half is checked a posteriori on a computed trajectory: L
 must be nonincreasing step to step (within slack), and the trajectory
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,15 +53,6 @@ def augmented_energy(sys: SystemDefinition) -> ScalarField:
         gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
         sys._augmented_energy = ScalarField(sys.n, value, gradient)
     return sys._augmented_energy
-
-
-def _hessian_kernel(sys: SystemDefinition) -> Callable:
-    """Kernel of the upper triangle of the exact Hessian of H_phi, row by row, built once per system."""
-    if sys._hessian is None:
-        gradient = augmented_energy(sys).gradient
-        upper = [ex.differentiate(gradient[i], j + 1) for i in range(sys.n) for j in range(i, sys.n)]
-        (sys._hessian,) = _compile(sys.n, "hessian", hessian=upper)
-    return sys._hessian
 
 
 def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:
@@ -121,9 +112,11 @@ def lyapunov_report(
             stacklevel=2,
         )
     grad_norm = float(np.max(np.abs(field.gradient_at(point))))
+    upper = [ex.differentiate(field.gradient[i], j + 1) for i in range(sys.n) for j in range(i, sys.n)]
+    (kernel,) = _compile(sys.n, "hessian", hessian=upper)
     sym = np.empty((sys.n, sys.n))
-    rows, cols = np.triu_indices(sys.n)  # row by row, the order of _hessian_kernel's triangle
-    sym[rows, cols] = sym[cols, rows] = _hessian_kernel(sys)(as_state(point, sys.n))
+    rows, cols = np.triu_indices(sys.n)  # row by row, the order of upper
+    sym[rows, cols] = sym[cols, rows] = kernel(as_state(point, sys.n))
     eigenvalues = np.linalg.eigvalsh(sym)
     return LyapunovReport(
         point=point,

@@ -207,19 +207,9 @@ def test_exact_hessian_agrees_with_finite_differences(name):
     assert report.positive_definite == (name != "rigid-x3-config")
 
 
-def test_hessian_kernel_is_built_once_per_system_and_only_by_lyapunov_report(tmp_path, monkeypatch):
-    sys_def = mp.rigid_body_system()
-    traj = mp.integrate(mp.field_function(sys_def, "metriplectic"), [1.01, 0.05, -0.03], (0.0, 1.0),
-                        mp.StepControl(h=1e-2))
-    mp.lasalle_diagnostics(traj, sys_def, [1.0, 0.0, 0.0])
-    assert sys_def._augmented_energy is not None and sys_def._hessian is None
-    mp.lyapunov_report(sys_def, [1.0, 0.0, 0.0])
-    kernel = sys_def._hessian
-    assert kernel is not None
-    mp.lyapunov_report(sys_def, [0.5, 0.0, 0.0])
-    assert sys_def._hessian is kernel
-    # simulate --analyze runs lasalle_diagnostics and never builds the kernel
-    monkeypatch.setattr(stability, "_hessian_kernel", None)
+def test_simulate_analyze_never_compiles_the_hessian(tmp_path, monkeypatch):
+    # lasalle_diagnostics shares augmented_energy with lyapunov_report but needs no Hessian
+    monkeypatch.setattr(stability, "_compile", None)
     assert cli.main(["simulate", "--x0", "1.01,0.05,-0.03", "--t1", "1", "--h", "1e-2", "--analyze",
                      "--out-dir", str(tmp_path)]) == 0
 
