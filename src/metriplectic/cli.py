@@ -71,6 +71,8 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 def _resolve_system(args, verification: Optional[VerificationPolicy] = None) -> SystemDefinition:
     if args.config:
+        if args.params:
+            raise _CliError("--params overrides built-in parameters and cannot be used with --config")
         try:
             return load_system_file(args.config, verification)
         except (ConfigError, CasimirError, AntisymmetryError, EvaluationError, OSError) as exc:

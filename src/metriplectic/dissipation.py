@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import SystemDefinition, _check_positive, _replaces, compose_entropy, poisson_matrix
+from .geometry import SystemDefinition, _worst, compose_entropy, verify_casimir
 
 __all__ = [
     "DissipationMatrix",
@@ -112,30 +112,22 @@ def verify_metriplectic_conditions(
     """Check the three defining conditions at every point of ``points``.
 
     Each passes iff its worst residual is <= ``tol``, a finite number > 0.
-    Empty maxima (k = 0 systems) count as 0; the first residual that is
-    not finite is reported and fails its condition, and a point where
-    grad H is not finite has a nan m2 and m3 residual.  ``m2`` multiplies the dense
-    matrix against the gradient so the cancellation of the entrywise
-    construction is exercised honestly rather than being zero by
-    algebraic identity.
+    m1 is the worst :func:`geometry.verify_casimir` report (the first
+    Casimir holding it); that pass raises its evaluation errors before
+    grad H and grad phi(C) are evaluated.  Empty maxima (k = 0 systems)
+    count as 0; the first residual that is not finite is reported and fails
+    its condition, and a point where grad H is not finite has a nan m2 and
+    m3 residual.  ``m2`` multiplies the dense matrix against the gradient so
+    the cancellation of the entrywise construction is exercised honestly
+    rather than being zero by algebraic identity.
     """
-    if len(points) == 0:
-        raise ValueError("at least one sample point is required")
-    _check_positive(tol, "tolerance")
+    casimirs = verify_casimir(sys.poisson, sys.casimirs, points, tol)
     entropy = compose_entropy(sys)
-    m1 = m3 = -math.inf  # raised by the first point; left at that for k = 0
-    m2 = 0.0
-    worst = {"m1": None, "m2": None, "m3": None}
+    g_residuals, productions = [], []
     for p in points:
         try:
-            pi = poisson_matrix(sys.poisson, p)
             g = sys.hamiltonian.gradient_at(p)
             u = entropy.gradient_at(p)
-            for c in sys.casimirs:
-                residual = float(np.max(np.abs(pi @ c.gradient_at(p))))
-                if _replaces(residual, m1):
-                    m1 = residual
-                    worst["m1"] = np.asarray(p, dtype=float)
         except ex.EvaluationError as exc:
             raise ex.EvaluationError(
                 f"condition check failed at {np.asarray(p).tolist()}: {exc}"
@@ -145,14 +137,16 @@ def verify_metriplectic_conditions(
             production = entropy_production(g, u) if sys.k > 0 else 0.0
         except ValueError:  # grad H is not finite, so G is not defined: the point fails m2 and m3
             g_residual = production = math.nan
-        if _replaces(g_residual, m2, ties=True):
-            m2 = g_residual
-            worst["m2"] = np.asarray(p, dtype=float)
-        if sys.k > 0 and _replaces(production, m3, ties=True):
-            m3 = production
-            worst["m3"] = np.asarray(p, dtype=float)
-    if sys.k == 0:
-        m1 = m3 = 0.0
-    m3_pos = m3 if not m3 <= 0.0 else 0.0  # the positive part; nan stays nan
+        g_residuals.append(g_residual)
+        productions.append(production)
+    i = _worst(g_residuals, ties=True)
+    m1, m2, m3_pos = 0.0, g_residuals[i], 0.0
+    worst = {"m1": None, "m2": np.asarray(points[i], dtype=float), "m3": None}
+    if sys.k > 0:
+        casimir = casimirs[_worst([r.max_residual for r in casimirs])]
+        j = _worst(productions, ties=True)
+        m1, m3 = casimir.max_residual, productions[j]
+        m3_pos = m3 if not m3 <= 0.0 else 0.0  # the positive part; nan stays nan
+        worst.update(m1=casimir.worst_point, m3=np.asarray(points[j], dtype=float))
     report = ConditionReport(m1_max=m1, m2_max=m2, m3_max_positive=m3_pos, passed=False, worst_points=worst)
     return replace(report, passed=not report.failed_conditions(tol))

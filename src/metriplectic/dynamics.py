@@ -197,8 +197,8 @@ def linear_dependence(
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> tuple:
-    """``(u . u, v . v, u . v)``; an overflow gives inf without a warning."""
-    with np.errstate(over="ignore"):
+    """``(u . u, v . v, u . v)``; an overflow gives inf, and inf * 0 nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
 
 

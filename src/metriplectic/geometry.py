@@ -226,16 +226,18 @@ class ScalarField:
                     )
 
 
-def _replaces(value: float, worst: float, ties: bool = False) -> bool:
-    """Whether residual ``value`` becomes the new ``worst`` of a sample.
+def _worst(values: Sequence[float], ties: bool = False) -> int:
+    """Index of the worst of a sample's residuals.
 
-    A larger value does (an equal one too with ``ties``), and so does nan;
-    a nan or +inf ``worst`` stays, so the first non-finite residual is the
-    one reported and the check fails on it.
+    The first nan or +inf, so the first residual that is not finite is the
+    one reported and the check fails on it; otherwise the first maximum, or
+    the last one with ``ties``.
     """
-    if worst != worst or worst == math.inf:
-        return False
-    return not (value < worst if ties else value <= worst)
+    values = np.asarray(values, dtype=float)
+    non_finite = np.flatnonzero(~(values < math.inf))
+    if len(non_finite):
+        return int(non_finite[0])
+    return len(values) - 1 - int(np.argmax(values[::-1])) if ties else int(np.argmax(values))
 
 
 @dataclass(frozen=True)
@@ -247,46 +249,52 @@ class CasimirReport:
 
 def verify_casimir(
     structure: PoissonStructure,
-    c: ScalarField,
+    casimirs: Sequence[ScalarField],
     points: Sequence[Sequence[float]],
     tol: float,
-) -> CasimirReport:
-    """Certify ``Pi(x) grad c(x) = 0`` by sampling.
+) -> list[CasimirReport]:
+    """Certify ``Pi(x) grad C_l(x) = 0`` for every Casimir in one pass over ``points``.
 
-    Returns the worst sup-norm residual over the points (the first one
-    that is not finite, if any); passes iff it is <= ``tol``, a finite
-    number > 0.  Evaluation failures are re-raised with the offending
-    point attached.
+    Pi, with its antisymmetry check, is evaluated once per point, also when
+    there are no Casimirs.  One report per Casimir, in order: the worst
+    sup-norm residual (the first one that is not finite, if any), passing
+    iff it is <= ``tol``, a finite number > 0.  Evaluation failures are
+    re-raised with the offending point attached.
     """
     if len(points) == 0:
         raise ValueError("at least one sample point is required")
     _check_positive(tol, "tolerance")
-    if c.arity != structure.n:
-        raise ValueError(f"field arity {c.arity} does not match dimension {structure.n}")
-    worst = 0.0
-    worst_point = np.asarray(points[0], dtype=float)
+    for c in casimirs:
+        if c.arity != structure.n:
+            raise ValueError(f"field arity {c.arity} does not match dimension {structure.n}")
+    residuals = []  # point by point, each point's Casimirs in order
     for p in points:
         try:
-            residual = float(np.max(np.abs(poisson_matrix(structure, p) @ c.gradient_at(p))))
+            pi = poisson_matrix(structure, p)
+            for c in casimirs:
+                residuals.append(float(np.max(np.abs(pi @ c.gradient_at(p)))))
         except ex.EvaluationError as exc:
             raise ex.EvaluationError(
                 f"casimir residual evaluation failed at {np.asarray(p).tolist()}: {exc}"
             ) from exc
-        if _replaces(residual, worst):
-            worst = residual
-            worst_point = np.asarray(p, dtype=float)
-    return CasimirReport(max_residual=worst, passed=worst <= tol, worst_point=worst_point)
+    reports = []
+    for l in range(len(casimirs)):
+        column = residuals[l::len(casimirs)]
+        index = _worst(column)
+        reports.append(CasimirReport(column[index], column[index] <= tol, np.asarray(points[index], dtype=float)))
+    return reports
 
 
 class SystemDefinition:
     """A Hamilton-Poisson system plus the entropy data for its dissipative part.
 
     Construction validates the pieces against each other (arities, phi
-    arity = k) and certifies each declared Casimir by sampling, per the
-    given :class:`VerificationPolicy`.  ``VerificationPolicy(samples=0)``
-    skips the sampling (used when a caller wants to inspect a broken
-    system deliberately).  Instances are immutable; derived artifacts are
-    cached lazily.
+    arity = k) and certifies every declared Casimir with one
+    :func:`verify_casimir` pass per the given :class:`VerificationPolicy`.
+    ``VerificationPolicy(samples=0)`` skips the sampling (used when a caller
+    wants to inspect a broken system deliberately).  Instances are
+    immutable; the dynamics kernels are the only lazy cache besides the
+    entropy field.
     """
 
     def __init__(
@@ -324,15 +332,10 @@ class SystemDefinition:
         self.verification = verification
         self._entropy_field: Optional[ScalarField] = None
         self._compiled = None  # filled by dynamics on first use
-        self._augmented_energy: Optional[ScalarField] = None  # filled by stability on first use
 
         if verification.samples > 0:
             pts = sample_box(n, verification.box, verification.samples, verification.seed)
-            if k == 0:
-                for p in pts:
-                    poisson_matrix(poisson, p)  # the antisymmetry check verify_casimir makes
-            for idx, c in enumerate(self.casimirs):
-                report = verify_casimir(poisson, c, pts, verification.tolerance)
+            for idx, report in enumerate(verify_casimir(poisson, self.casimirs, pts, verification.tolerance)):
                 if not report.passed:
                     raise CasimirError(idx, report.max_residual, report.worst_point, verification.tolerance)
 

@@ -45,14 +45,12 @@ DEFECT_TOL = 1e-6
 
 
 def augmented_energy(sys: SystemDefinition) -> ScalarField:
-    """``H + phi(C_1, ..., C_k)`` with the chain-rule gradient, built once per system."""
-    if sys._augmented_energy is None:
-        entropy = compose_entropy(sys)
-        h = sys.hamiltonian
-        value = ex.add(h.value, entropy.value)
-        gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
-        sys._augmented_energy = ScalarField(sys.n, value, gradient)
-    return sys._augmented_energy
+    """``H + phi(C_1, ..., C_k)`` with the chain-rule gradient, built on each call."""
+    entropy = compose_entropy(sys)
+    h = sys.hamiltonian
+    value = ex.add(h.value, entropy.value)
+    gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
+    return ScalarField(sys.n, value, gradient)
 
 
 def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:
@@ -168,7 +166,8 @@ def lasalle_diagnostics(
     _check_lasalle_arguments(tail_fraction, defect_tol)
     if traj.states.shape[1] != sys.n:
         raise ValueError(f"trajectory dimension {traj.states.shape[1]} != system dimension {sys.n}")
-    offset = float(augmented_energy(sys).value_at(np.asarray(x_e, dtype=float)))
+    # H(x_e) + phi(C(x_e)) from the value kernels: the sum the L series makes of the H and phi(C) columns
+    offset = sys.hamiltonian.value_at(x_e) + compose_entropy(sys).value_at(x_e)
 
     if traj.diagnostics is not None:
         energy = traj.column("H")

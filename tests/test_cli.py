@@ -143,6 +143,37 @@ def test_equilibrium_where_the_gram_product_underflows(tmp_path):
     assert report["dependence"]["dependent"] is True
 
 
+def test_equilibrium_where_a_gradient_overflows_prints_no_warning(tmp_path, capsys, recwarn):
+    # x1*x1*x1*x1 overflows to inf without raising (unlike **), so grad H = (inf, 0) and its dot products take inf * 0
+    doc = {"dimension": 2, "poisson": [["0", "1"], ["-1", "0"]], "hamiltonian": "x1*x1*x1*x1 + x1*x2*x2*x2*x2"}
+    path = write_doc(tmp_path, "overflow.json", doc)
+    assert run(["equilibrium", "--config", str(path), "--point", "1e160,0"], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert out == "conservative=False metriplectic=False positive_definite=False\n"
+    assert err == "" and not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    report = read_json(tmp_path / "equilibrium_report.json")
+    assert report["field_norms"] == {"conservative": "Infinity", "metriplectic": "Infinity"}
+    assert report["dependence"] == {"dependent": True, "lambda": None, "gram_defect": 0.0, "normalized_defect": 0.0}
+    assert report["lyapunov"] == {
+        "grad_norm": "Infinity", "eigenvalues": ["NaN", "NaN"], "positive_definite": False, "pd_tolerance": 1e-8,
+        "hessian": [["Infinity", 0.0], [0.0, 0.0]], "offset": "Infinity"}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["equilibrium", "--point", "1,0,0"],
+    ["simulate", "--x0", "1,0,0", "--t1", "0.01"],
+], ids=["verify", "equilibrium", "simulate"])
+def test_params_with_a_config_are_a_usage_error(tmp_path, capsys, command):
+    # the overrides apply to built-in systems only, so a manifest would record values never used
+    out = tmp_path / "out"
+    args = command[:1] + ["--config", str(CONFIG_DIR / "rigid_body.json"), "--params", "I1=9"] + command[1:]
+    assert run(args, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --params ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_default_tolerances_are_the_library_constants():
     parser = cli._build_parser()
     equilibrium = parser.parse_args(["equilibrium", "--point", "1,0,0"])

@@ -232,3 +232,29 @@ def test_non_finite_grad_h_fails_m2_and_m3():
     assert report.failed_conditions(1e-10) == ["m2", "m3"]
     assert np.array_equal(report.worst_points["m2"], pts[0])
     assert np.array_equal(report.worst_points["m3"], pts[0])
+
+
+def rigid_with(hamiltonian, casimirs, phi):
+    return mp.SystemDefinition(
+        poisson=mp.PoissonStructure.from_strings([["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]),
+        hamiltonian=mp.ScalarField.from_string(hamiltonian, 3),
+        casimirs=[mp.ScalarField.from_string(c, 3) for c in casimirs],
+        phi=ex.parse(phi, len(casimirs), "s"),
+        verification=mp.VerificationPolicy(samples=0),
+    )
+
+
+def test_m1_is_the_worst_point_of_the_first_casimir_holding_the_worst_residual():
+    # both Casimirs reach residual 1: x2 at the first point, x1 at the second
+    sys_def = rigid_with("(x1^2/3 + x2^2/2 + x3^2)/2", ["x1", "x2"], "s1 + s2")
+    pts = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    report = mp.verify_metriplectic_conditions(sys_def, pts, tol=1e-10)
+    assert report.m1_max == 1.0 and report.failed_conditions(1e-10) == ["m1"]
+    assert report.worst_points["m1"].tolist() == pts[1]
+
+
+def test_a_casimir_evaluation_error_is_raised_before_one_of_grad_h():
+    # grad H fails to evaluate at the first point (x2 + 1 < 0), the Casimir's gradient at the second (x1 < 0)
+    sys_def = rigid_with("sqrt(x2 + 1)", ["sqrt(x1)"], "s1")
+    with pytest.raises(ex.EvaluationError, match=r"^casimir residual evaluation failed at \[-1\.0, 0\.0, 0\.0\]"):
+        mp.verify_metriplectic_conditions(sys_def, [[1.0, -2.0, 0.0], [-1.0, 0.0, 0.0]], tol=1e-10)

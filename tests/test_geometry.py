@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import metriplectic as mp
 from metriplectic import expressions as ex
+from metriplectic import geometry
+from test_compiled_path import E3_DOCUMENT
 
 RIGID_ROWS = [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]
 
@@ -15,6 +18,18 @@ def rigid_poisson():
 
 def norm_casimir():
     return mp.ScalarField.from_string("(x1^2 + x2^2 + x3^2)/2", 3)
+
+
+def count_poisson_calls(monkeypatch) -> list:
+    """The points of every ``poisson_matrix`` call made from now on."""
+    calls, original = [], geometry.poisson_matrix
+
+    def counted(structure, x):
+        calls.append(x)
+        return original(structure, x)
+
+    monkeypatch.setattr(geometry, "poisson_matrix", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +84,14 @@ def test_structure_shape_check():
 
 def test_norm_casimir_passes():
     pts = mp.sample_box(3, (-2, 2), 100, seed=3)
-    report = mp.verify_casimir(rigid_poisson(), norm_casimir(), pts, tol=1e-12)
+    (report,) = mp.verify_casimir(rigid_poisson(), [norm_casimir()], pts, tol=1e-12)
     assert report.passed
     assert report.max_residual <= 1e-12
 
 
 def test_non_casimir_fails():
     field = mp.ScalarField.from_string("x1", 3)
-    report = mp.verify_casimir(rigid_poisson(), field, [[0.0, 1.0, 0.0]], tol=1e-6)
+    (report,) = mp.verify_casimir(rigid_poisson(), [field], [[0.0, 1.0, 0.0]], tol=1e-6)
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0)
     assert np.array_equal(report.worst_point, [0.0, 1.0, 0.0])
@@ -85,22 +100,22 @@ def test_non_casimir_fails():
 def test_constant_field_is_casimir():
     field = mp.ScalarField.from_string("5", 3)
     pts = mp.sample_box(3, (-2, 2), 10, seed=4)
-    report = mp.verify_casimir(rigid_poisson(), field, pts, tol=1e-12)
+    (report,) = mp.verify_casimir(rigid_poisson(), [field], pts, tol=1e-12)
     assert report.passed and report.max_residual == 0.0
 
 
 def test_verify_casimir_argument_checks():
     with pytest.raises(ValueError):
-        mp.verify_casimir(rigid_poisson(), norm_casimir(), [], tol=1e-6)
+        mp.verify_casimir(rigid_poisson(), [norm_casimir()], [], tol=1e-6)
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            mp.verify_casimir(rigid_poisson(), norm_casimir(), [[0, 0, 0]], tol=tol)
+            mp.verify_casimir(rigid_poisson(), [norm_casimir()], [[0, 0, 0]], tol=tol)
 
 
 def test_verify_casimir_reports_bad_point():
     field = mp.ScalarField.from_string("sqrt(x1)", 3)  # gradient errors for x1 < 0
     with pytest.raises(ex.EvaluationError, match=r"\[-1\.0, 0\.0, 0\.0\]"):
-        mp.verify_casimir(rigid_poisson(), field, [[-1.0, 0.0, 0.0]], tol=1e-6)
+        mp.verify_casimir(rigid_poisson(), [field], [[-1.0, 0.0, 0.0]], tol=1e-6)
 
 
 # x1*1e300*1e300 overflows to inf, so d/dx1 of the first two terms is inf - inf
@@ -111,7 +126,7 @@ def test_nan_residual_fails_the_casimir_check():
     field = mp.ScalarField.from_string(NAN_CASIMIR, 3)
     pts = mp.sample_box(3, (-2, 2), 50, seed=0)
     assert math.isnan(field.gradient_at(pts[0])[0])
-    report = mp.verify_casimir(rigid_poisson(), field, pts, tol=1e-10)
+    (report,) = mp.verify_casimir(rigid_poisson(), [field], pts, tol=1e-10)
     assert math.isnan(report.max_residual)
     assert not report.passed
     assert np.array_equal(report.worst_point, pts[0])
@@ -121,11 +136,31 @@ def test_first_non_finite_residual_is_reported():
     # the gradient of the first two terms is nan unless x1 = 0, where it is 0
     field = mp.ScalarField.from_string("x1^2*1e300*1e300 - x1^2*1e300*1e300 + x1", 3)
     pts = [[0.0, 0.0, 0.5], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 2.0]]
-    report = mp.verify_casimir(rigid_poisson(), field, pts, tol=1e-10)
+    (report,) = mp.verify_casimir(rigid_poisson(), [field], pts, tol=1e-10)
     assert math.isnan(report.max_residual) and not report.passed
     assert report.worst_point.tolist() == pts[2]
-    finite = mp.verify_casimir(rigid_poisson(), field, pts[:2], tol=1e-10)
+    (finite,) = mp.verify_casimir(rigid_poisson(), [field], pts[:2], tol=1e-10)
     assert finite.max_residual == 2.0 and finite.worst_point.tolist() == pts[1]
+
+
+def test_one_pass_reports_every_casimir_in_declared_order(monkeypatch):
+    fields = [norm_casimir(), mp.ScalarField.from_string("x1", 3), mp.ScalarField.from_string("5", 3)]
+    pts = mp.sample_box(3, (-2, 2), 40, seed=5)
+    singles = [mp.verify_casimir(rigid_poisson(), [field], pts, tol=1e-12)[0] for field in fields]
+    calls = count_poisson_calls(monkeypatch)
+    reports = mp.verify_casimir(rigid_poisson(), fields, pts, tol=1e-12)
+    assert len(calls) == len(pts)
+    assert reports == singles and [r.passed for r in reports] == [True, False, True]
+    assert all(np.array_equal(r.worst_point, single.worst_point) for r, single in zip(reports, singles))
+
+
+def test_no_casimirs_still_checks_antisymmetry_at_every_point(monkeypatch):
+    calls = count_poisson_calls(monkeypatch)
+    assert mp.verify_casimir(rigid_poisson(), [], mp.sample_box(3, (-2, 2), 7, seed=6), tol=1e-12) == []
+    assert len(calls) == 7
+    bad = mp.PoissonStructure.from_strings([["0", "x1"], ["x1", "0"]])
+    with pytest.raises(mp.AntisymmetryError):
+        mp.verify_casimir(bad, [], [[0.0, 0.0], [1.0, 0.0]], tol=1e-12)
 
 
 def test_nan_casimir_is_rejected_at_construction():
@@ -214,7 +249,7 @@ def test_composed_entropy_is_a_casimir():
     sys_def = mp.rigid_body_system()
     entropy = mp.compose_entropy(sys_def)
     pts = mp.sample_box(3, (-2, 2), 200, seed=8)
-    report = mp.verify_casimir(sys_def.poisson, entropy, pts, tol=1e-10)
+    (report,) = mp.verify_casimir(sys_def.poisson, [entropy], pts, tol=1e-10)
     assert report.passed
 
 
@@ -281,6 +316,31 @@ def test_verification_policy_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             mp.VerificationPolicy(tolerance=tol)
+
+
+@pytest.mark.parametrize("build, samples", [
+    (lambda policy: mp.load_system(E3_DOCUMENT, policy), 1000),
+    (lambda policy: mp.SystemDefinition(rigid_poisson(), mp.ScalarField.from_string("x1^2", 3), verification=policy), 30),
+], ids=["e3", "no-casimirs"])
+def test_a_load_evaluates_pi_once_per_sample_point(monkeypatch, build, samples):
+    calls = count_poisson_calls(monkeypatch)
+    build(mp.VerificationPolicy(samples=samples))
+    assert len(calls) == samples
+
+
+def test_a_load_raises_the_first_evaluation_error_of_any_casimir():
+    # x1 fails the residual check at every sample point, and the gradient of
+    # sqrt(x1) fails to evaluate where x1 < 0: the one pass meets that first
+    points = mp.sample_box(3, (-2.0, 2.0), 1000, 0)
+    first = int(np.argmax(points[:, 0] < 0))
+    assert first > 0
+    with pytest.raises(ex.EvaluationError, match=re.escape(f"failed at {points[first].tolist()}")):
+        mp.SystemDefinition(
+            poisson=rigid_poisson(),
+            hamiltonian=mp.ScalarField.from_string("x1^2/6 + x2^2/4 + x3^2/2", 3),
+            casimirs=[mp.ScalarField.from_string("x1", 3), mp.ScalarField.from_string("sqrt(x1)", 3)],
+            phi=ex.parse("s1", 2, "s"),
+        )
 
 
 @pytest.mark.parametrize("casimirs", [0, 1])

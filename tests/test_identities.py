@@ -4,8 +4,11 @@ Systems are drawn by hypothesis: a constant Pi acting on x1, x2 only, a
 random Hamiltonian tree in x1..x4 and a random Casimir tree in the null
 coordinates x3, x4, so u = grad phi(C) is a random gradient too.  The
 identities must hold at every point to rounding, whatever H and C are.
+The worst-point rule of the sampled checks is tested against the running
+rule it replaced.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 import metriplectic as mp
 from metriplectic import expressions as ex
+from metriplectic import geometry
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
@@ -82,3 +86,24 @@ def test_identities_hold_at_every_point(sys_def, points):
         assert float(u @ G @ u) <= bound
         assert float(u @ xi) <= bound
     assume(checked > 0)
+
+
+def replaces(value, worst, ties=False):
+    """The running worst-point rule that ``geometry._worst`` folds into one array pass, kept as its oracle."""
+    if worst != worst or worst == math.inf:
+        return False
+    return not (value < worst if ties else value <= worst)
+
+
+RESIDUALS = st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]),
+                               st.floats(-3.0, 3.0)), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(values=RESIDUALS, ties=st.booleans())
+def test_worst_agrees_with_a_fold_of_the_running_rule(values, ties):
+    index = 0
+    for i, value in enumerate(values):
+        if replaces(value, values[index], ties):
+            index = i
+    assert geometry._worst(values, ties) == index

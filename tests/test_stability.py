@@ -81,8 +81,7 @@ def test_augmented_energy_is_built_once_per_system():
     x_e = [2.0, 0.0, 0.0]
     report = mp.lyapunov_report(sys_def, x_e)
     field = mp.augmented_energy(sys_def)
-    assert mp.augmented_energy(sys_def) is field
-    # the cached field computes what a freshly assembled one does, and the report is built from it
+    # the field computes what a freshly assembled one does, and the report is built from it
     h, entropy = sys_def.hamiltonian, mp.compose_entropy(sys_def)
     fresh = mp.ScalarField(3, ex.add(h.value, entropy.value), [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(3)])
     for p in mp.sample_box(3, (-2.0, 2.0), 50, seed=4):
@@ -92,7 +91,7 @@ def test_augmented_energy_is_built_once_per_system():
     assert report.lyapunov_offset == fresh.value_at(x_e)
     again = mp.lyapunov_report(sys_def, x_e)
     assert np.array_equal(again.eigenvalues, report.eigenvalues) and again.grad_norm == report.grad_norm
-    # lasalle_diagnostics gives the same report with the cache filled as on a system built afresh
+    # lasalle_diagnostics gives the same report after lyapunov_report as on a system built afresh
     traj = mp.integrate(mp.field_function(sys_def, "metriplectic"), [2.02, 0.1, -0.06], (0.0, 5.0),
                         mp.StepControl(h=1e-2))
     cached = mp.lasalle_diagnostics(traj, sys_def, x_e)
@@ -207,9 +206,24 @@ def test_exact_hessian_agrees_with_finite_differences(name):
     assert report.positive_definite == (name != "rigid-x3-config")
 
 
+@pytest.mark.parametrize("name", sorted(IDENTITY_SYSTEMS))
+def test_lyapunov_offset_is_the_sum_the_lasalle_series_makes(name):
+    # lasalle_diagnostics takes H(x_e) + phi(C(x_e)) from the value kernels;
+    # the L series adds the diagnostics kernel's H and phi(C) columns
+    build, x_e = IDENTITY_SYSTEMS[name]
+    sys_def = build()
+    field, entropy = mp.augmented_energy(sys_def), mp.compose_entropy(sys_def)
+    diagnostics = mp.diagnostics_function(sys_def)
+    for p in [x_e] + mp.sample_box(sys_def.n, (-3.0, 3.0), 2000, seed=9).tolist():
+        offset = sys_def.hamiltonian.value_at(p) + entropy.value_at(p)
+        record = diagnostics(p)
+        assert offset == record[0] + record[1] == field.value_at(p)
+
+
 def test_simulate_analyze_never_compiles_the_hessian(tmp_path, monkeypatch):
-    # lasalle_diagnostics shares augmented_energy with lyapunov_report but needs no Hessian
+    # lasalle_diagnostics needs neither the Hessian nor the field of H + phi(C)
     monkeypatch.setattr(stability, "_compile", None)
+    monkeypatch.setattr(stability, "augmented_energy", None)
     assert cli.main(["simulate", "--x0", "1.01,0.05,-0.03", "--t1", "1", "--h", "1e-2", "--analyze",
                      "--out-dir", str(tmp_path)]) == 0
 
