@@ -14,17 +14,16 @@ both fields; the normalized Gram defect
 
 is the scale-invariant proxy used to measure distance from that set.
 
-Field evaluation is compiled: the component formulas are assembled once
-per system into plain Python arithmetic (shared subterms hoisted into
-locals) so that long integrations stay cheap.  The lines for u come from
-the chain-rule trees that :func:`geometry.compose_entropy` also builds
-from, so its finite-difference check covers the gradient the kernels
-run.  The equilibrium analysis reads grad H and grad phi(C) from the
-compiled scalar fields of :mod:`geometry`.
+Field evaluation is compiled: :func:`expressions.emit` writes the kernels
+once per system from the trees of Pi, H and :func:`geometry.compose_entropy`
+(so its finite-difference check covers the u they run), with each repeated
+subtree computed once.  The equilibrium analysis reads grad H and
+grad phi(C) from the compiled scalar fields of :mod:`geometry`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import KernelFunction, SystemDefinition, _chain_rule, _check_positive, as_state, compose_entropy
+from .geometry import KernelFunction, SystemDefinition, _check_positive, as_state, compose_entropy
 
 __all__ = [
     "DependenceReport",
@@ -62,57 +61,32 @@ class EquilibriumConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Code generation
 
-def _xi_pi_sources(sys: SystemDefinition, names) -> list[str]:
-    """Per-component source of Pi(x) grad H(x); zero entries are dropped."""
-    rows = []
-    for i in range(sys.n):
-        terms = []
-        for j in range(sys.n):
-            entry = sys.poisson.entries[i][j]
-            if isinstance(entry, ex.Num) and entry.value == 0.0:
-                continue
-            terms.append(f"{ex.to_source(entry, names)}*g{j + 1}")
-        rows.append(" + ".join(terms) if terms else "0.0")
-    return rows
-
-
 def _generate(sys: SystemDefinition) -> dict:
     """Bodies of the ``conservative``, ``metriplectic`` and ``diagnostics`` kernels."""
-    n, k = sys.n, sys.k
+    n, h = sys.n, sys.hamiltonian
     names = [f"x{i + 1}" for i in range(n)]
-    grad_h = [f"g{i + 1} = {ex.to_source(g, names)}" for i, g in enumerate(sys.hamiltonian.gradient)]
-    xi_pi = _xi_pi_sources(sys, names)
-    dot = lambda a, b: " + ".join(f"{a}{i + 1}*{b}{i + 1}" for i in range(n))
-    tuple_of = lambda comps: "return (" + ", ".join(comps) + ("," if n == 1 else "") + ")"
-    hval = f"hval = {ex.to_source(sys.hamiltonian.value, names)}"
-
-    conservative = grad_h + [tuple_of(xi_pi)]
-    if k == 0:
+    grad_h = [(f"g{i + 1}", g) for i, g in enumerate(h.gradient)]
+    dot = lambda a, b: functools.reduce(ex.Add, map(ex.Mul, a, b))  # a1*b1 + a2*b2 + ..., in order
+    nonzero = [[(p, g) for p, g in zip(row, h.gradient) if p != ex.Num(0.0)] for row in sys.poisson.entries]
+    xi_pi = [dot(*zip(*pairs)) if pairs else ex.Num(0.0) for pairs in nonzero]  # Pi grad H over nonzero Pi_ij
+    conservative = ex.emit(grad_h + [(None, xi) for xi in xi_pi], names)
+    if sys.k == 0:
         return {"conservative": conservative, "metriplectic": conservative,
-                "diagnostics": [hval, "return (hval, 0.0, 0.0, 0.0)"]}
-    # hoist each Casimir and phi-partial into a local, then u = grad phi(C)
-    phi, partials, gradient = _chain_rule(sys)
-    cnames = [f"c{l + 1}" for l in range(k)]
-    unames = names + [f"f{l + 1}" for l in range(k)]
-    grad_hu = grad_h + [f"c{l + 1} = {ex.to_source(c.value, names)}" for l, c in enumerate(sys.casimirs)]
-    grad_hu += [f"f{l + 1} = {ex.to_source(f, cnames)}" for l, f in enumerate(partials)]
-    grad_hu += [f"u{i + 1} = {ex.to_source(u, unames)}" for i, u in enumerate(gradient)]
-    products = [f"hu = {dot('g', 'u')}", f"hh = {dot('g', 'g')}"]
+                "diagnostics": ex.emit([("hval", h.value)], names) + ["return (hval, 0.0, 0.0, 0.0)"]}
+    entropy = compose_entropy(sys)
+    g, u = h.gradient, entropy.gradient
+    grad_phi = [(f"u{i + 1}", u_i) for i, u_i in enumerate(u)]
+    hu, hh = dot(g, u), dot(g, g)
+    xi = [(None, ex.Sub(ex.Add(xi_pi[i], ex.Mul(hu, g[i])), ex.Mul(hh, u[i]))) for i in range(n)]
+    scalars = [("hval", h.value)] + grad_h + grad_phi + [("phival", entropy.value)]
     return {
         "conservative": conservative,
-        "metriplectic": grad_hu + products + [tuple_of(f"{xi_pi[i]} + hu*g{i + 1} - hh*u{i + 1}" for i in range(n))],
-        "diagnostics": [hval] + grad_hu + [f"phival = {ex.to_source(phi, cnames)}"] + products + [
-            f"uu = {dot('u', 'u')}",
+        "metriplectic": ex.emit(grad_h + grad_phi + xi, names),
+        "diagnostics": ex.emit(scalars + [("hu", hu), ("hh", hh), ("uu", dot(u, u))], names) + [
             "sdot = hu*hu - hh*uu",
             "denom = hh*uu",
-            "if denom > 0.0:",
-            "    defect = (denom - hu*hu)/denom",
-            "    if defect < 0.0:",
-            "        defect = 0.0",
-            "    elif defect > 1.0:",
-            "        defect = 1.0",
-            "else:",
-            "    defect = 0.0",
+            "defect = (denom - hu*hu)/denom if denom > 0.0 else 0.0",
+            "defect = 0.0 if defect < 0.0 else 1.0 if defect > 1.0 else defect",
             "return (hval, phival, sdot, defect)",
         ],
     }
@@ -120,8 +94,6 @@ def _generate(sys: SystemDefinition) -> dict:
 
 def _compiled(sys: SystemDefinition) -> dict:
     if sys._compiled is None:
-        # compose_entropy checks, by finite differences, the chain rule the kernels emit
-        compose_entropy(sys)
         sys._compiled = ex.compile_kernels(sys.n, _generate(sys), f"{sys.name or 'system'}-dynamics")
     return sys._compiled
 
@@ -175,7 +147,8 @@ def linear_dependence(
     ``tol`` bounds the normalized defect and must be a finite number > 0.
     When ``||u||^2 ||v||^2`` overflows, both vectors are divided by their
     sup norms first (the normalized defect does not change) and ``lam``
-    and the Gram defect are scaled back.
+    and the Gram defect are scaled back; a sup norm that is not finite
+    leaves no defect (both are nan) and the vectors are not dependent.
     """
     uu_vec = np.asarray(u, dtype=float)
     vv_vec = np.asarray(v, dtype=float)
@@ -186,6 +159,8 @@ def linear_dependence(
     uu, vv, uv = _dots(uu_vec, vv_vec)
     if uu * vv == math.inf:
         su, sv = float(np.max(np.abs(uu_vec))), float(np.max(np.abs(vv_vec)))
+        if not (su < math.inf and sv < math.inf):
+            return DependenceReport(dependent=False, lam=None, gram_defect=math.nan, normalized_defect=math.nan)
         uu, vv, uv = _dots(uu_vec / su, vv_vec / sv)
     gram = max(0.0, uu * vv - uv * uv)
     normalized = gram / (uu * vv) if uu * vv > 0.0 else 0.0  # the diagnostics kernel's guard

@@ -4,9 +4,9 @@ User-defined systems supply their Hamiltonian, Casimirs, entropy shaper
 and Poisson-matrix entries as strings in indexed variables (``x1..xn``,
 or ``s1..sk`` for the entropy shaper).  Parsing produces an immutable
 tree that can be differentiated symbolically, printed back to parseable
-text, and compiled by :func:`compile_kernels` into the Python kernels
-every numeric evaluation runs on; the tree-walking :func:`evaluate` is
-kept as the independent oracle those kernels are tested against.
+text, emitted by :func:`emit` as kernel lines and compiled by
+:func:`compile_kernels` into the kernels every numeric evaluation runs
+on; the tree-walking :func:`evaluate` is the oracle they are tested on.
 
 Grammar (whitespace-insensitive)::
 
@@ -29,7 +29,7 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 __all__ = [
     "Expression",
@@ -53,6 +53,7 @@ __all__ = [
     "substitute",
     "to_string",
     "to_source",
+    "emit",
     "compile_kernels",
     "exec_source",
     "max_var_index",
@@ -464,6 +465,7 @@ def to_string(e: Expression) -> str:
 # Compilation to Python source
 
 _SOURCE_FUNCTIONS = {"sin": "sin", "cos": "cos", "exp": "_exp", "ln": "_ln", "sqrt": "_sqrt"}
+_BINARY_SOURCE = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 SOURCE_ENV: dict[str, Callable] = {
     "sin": math.sin,
@@ -476,38 +478,89 @@ SOURCE_ENV: dict[str, Callable] = {
 }
 
 
+def _node_source(e: Expression, a: str, b: Optional[str] = None) -> str:
+    """Source of the non-leaf node ``e`` whose operands render as ``a`` (and ``b``)."""
+    op = _BINARY_SOURCE.get(type(e))
+    if op is not None:
+        return f"({a}{op}{b})"
+    if type(e) is Neg:
+        return f"(-{a})"
+    if type(e) is Fun:
+        return f"{_SOURCE_FUNCTIONS[e.name]}({a})"
+    if type(e.right) is Num and float(e.right.value).is_integer() and abs(e.right.value) < 1e15:
+        return f"({a}**{int(e.right.value)})"
+    return f"_pow({a}, {b})"
+
+
 def to_source(e: Expression, names: Sequence[str]) -> str:
     """Render as a Python expression over the given variable names.
 
     ``names[i-1]`` replaces variable ``i``.  The result is meant to run in
     a kernel built by :func:`compile_kernels`.
     """
-    if isinstance(e, Num):
+    cls = type(e)
+    if cls is Num:
         if not math.isfinite(e.value):
             raise ValueError(f"cannot compile non-finite literal {e.value!r}")
         # parenthesize negatives: '**' binds tighter than unary minus in Python
         return f"({e.value!r})" if e.value < 0 else repr(e.value)
-    if isinstance(e, Var):
+    if cls is Var:
         if e.index > len(names):
             raise ValueError(f"variable index {e.index} beyond name table of {len(names)}")
         return names[e.index - 1]
-    if isinstance(e, Neg):
-        return f"(-{to_source(e.arg, names)})"
-    if isinstance(e, Fun):
-        return f"{_SOURCE_FUNCTIONS[e.name]}({to_source(e.arg, names)})"
-    if isinstance(e, Add):
-        return f"({to_source(e.left, names)} + {to_source(e.right, names)})"
-    if isinstance(e, Sub):
-        return f"({to_source(e.left, names)} - {to_source(e.right, names)})"
-    if isinstance(e, Mul):
-        return f"({to_source(e.left, names)}*{to_source(e.right, names)})"
-    if isinstance(e, Div):
-        return f"({to_source(e.left, names)}/{to_source(e.right, names)})"
-    if isinstance(e, Pow):
-        if isinstance(e.right, Num) and float(e.right.value).is_integer() and abs(e.right.value) < 1e15:
-            return f"({to_source(e.left, names)}**{int(e.right.value)})"
-        return f"_pow({to_source(e.left, names)}, {to_source(e.right, names)})"
+    if cls is Neg or cls is Fun:
+        return _node_source(e, to_source(e.arg, names))
+    if cls in _BINARY_SOURCE or cls is Pow:
+        return _node_source(e, to_source(e.left, names), to_source(e.right, names))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def emit(assignments: Sequence[tuple[Optional[str], Expression]], names: Sequence[str]) -> list[str]:
+    """Kernel lines computing each ``(target, tree)`` in order, no subtree twice.
+
+    A tree goes to its target or, for ``None``, to the tuple that the last
+    line returns; a non-leaf subtree found in two places goes to a local
+    ``t<k>`` just before the first tree using it.  Subtrees are numbered by
+    kind and operands, leaves by source (``0.0`` and ``-0.0`` stay apart).
+    A local holds the same operations on the same operands, so values keep
+    their bits; of two failures, the one reported can differ from inline's.
+    """
+    numbers, indices, entries, uses = {}, {}, [], {}  # by id(node), by (kind, operands), by index or leaf
+
+    def number(e):  # a leaf's source, or the index of the entry computing e
+        cls = type(e)
+        if cls is Num or cls is Var:
+            return to_source(e, names)
+        value = numbers.get(id(e))
+        if value is None:
+            a, b = (number(e.arg), None) if cls is Neg or cls is Fun else (number(e.left), number(e.right))
+            value = numbers[id(e)] = indices.setdefault((cls, e.name if cls is Fun else b, a), len(entries))
+            if value == len(entries):
+                entries.append((e, a, b))
+                for operand in a, b:
+                    uses[operand] = uses.get(operand, 0) + 1
+        return value
+
+    roots = []  # (value, entries up to it)
+    for _, tree in assignments:
+        roots.append((number(tree), len(entries)))
+        uses[roots[-1][0]] = uses.get(roots[-1][0], 0) + 1
+    refs, lines, returned, start = {}, [], [], 0  # refs: index -> the local holding it, or its source
+    for (target, _), (root, end) in zip(assignments, roots):
+        for index in range(start, end):
+            e, a, b = entries[index]
+            refs[index] = _node_source(e, refs.get(a, a), refs.get(b, b))
+            if uses[index] > 1 and (index != root or target is None):
+                lines.append(f"t{len(lines) + 1} = {refs[index]}")
+                refs[index] = f"t{len(lines)}"
+        start = end
+        if target is None:
+            returned.append(refs.get(root, root))
+            continue
+        lines.append(f"{target} = {refs.get(root, root)}")
+        if type(root) is int:
+            refs[root] = target
+    return lines + ["return (" + "".join(f"{source}, " for source in returned) + ")"] if returned else lines
 
 
 def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str) -> dict:

@@ -11,6 +11,7 @@ evaluation and check here runs on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -113,10 +114,7 @@ class KernelFunction:
 def _compile(arity: int, label: str, **results) -> list:
     """One kernel per keyword, returning the tuple of its expressions' values."""
     names = [f"x{i + 1}" for i in range(arity)]
-    bodies = {
-        name: ["return (" + "".join(f"{ex.to_source(e, names)}, " for e in exprs) + ")"]
-        for name, exprs in results.items()
-    }
+    bodies = {name: ex.emit([(None, e) for e in exprs], names) for name, exprs in results.items()}
     return list(ex.compile_kernels(arity, bodies, label).values())
 
 
@@ -340,45 +338,19 @@ class SystemDefinition:
                     raise CasimirError(idx, report.max_residual, report.worst_point, verification.tolerance)
 
 
-def _chain_rule(sys: SystemDefinition) -> tuple:
-    """``grad phi(C) = sum_l (d phi / d s_l)(C) grad C_l`` over placeholders.
-
-    Returns ``(phi, partials, gradient)``: phi and its partials f_l over
-    ``s_l``, which stand for the Casimir values ``c_l = C_l(x)``, and the
-    components ``u_i = sum_l f_l * d C_l / d x_i`` over ``x1..xn`` and
-    ``Var(n + l, "f")`` for f_l.  A term whose Casimir derivative is
-    identically zero is dropped.  For k = 0 phi and every u_i are zero.
-    """
-    n = sys.n
-    phi = sys.phi if sys.k else ex.Num(0.0)
-    partials = [ex.differentiate(phi, l + 1) for l in range(sys.k)]
-    gradient = []
-    for i in range(n):
-        total = ex.Num(0.0)
-        for l, c in enumerate(sys.casimirs):
-            total = ex.add(total, ex.mul(ex.Var(n + l + 1, "f"), c.gradient[i]))
-        gradient.append(total)
-    return phi, partials, gradient
-
-
 def compose_entropy(sys: SystemDefinition) -> ScalarField:
     """The entropy function x -> phi(C_1(x), ..., C_k(x)) as a ScalarField.
 
-    The trees of :func:`_chain_rule`, the ones the dynamics kernels are
-    generated from, with C_l substituted for s_l and the partials for f_l;
-    building the field checks that gradient against finite differences.
-    Since each C_i is a Casimir, the composition is one as well.  For k = 0
-    the zero field is returned (the dynamics then has no dissipative part).
+    Its gradient, which the dynamics kernels run, is the chain rule
+    ``u_i = sum_l (d phi / d s_l)(C) d C_l / d x_i`` term by term (a zero
+    factor drops its term), checked by finite differences when built.  A
+    function of Casimirs is one too; for k = 0 it is the zero field.
     """
     if sys._entropy_field is None:
-        n = sys.n
-        phi, partials, gradient = _chain_rule(sys)
         casimirs = {l + 1: c.value for l, c in enumerate(sys.casimirs)}
-        # x_i -> x_i rebuilds the C_l gradients through the smart constructors,
-        # which gives back every tree that parse and differentiate build
-        mapping = {i: ex.Var(i) for i in range(1, n + 1)}
-        mapping.update({n + l + 1: ex.substitute(f, casimirs) for l, f in enumerate(partials)})
-        sys._entropy_field = ScalarField(
-            n, ex.substitute(phi, casimirs), [ex.substitute(u, mapping) for u in gradient]
-        )
+        phi = sys.phi if sys.k else ex.Num(0.0)
+        partials = [ex.substitute(ex.differentiate(phi, l + 1), casimirs) for l in range(sys.k)]
+        terms = lambda i: (ex.mul(f, c.gradient[i]) for f, c in zip(partials, sys.casimirs))
+        gradient = [functools.reduce(ex.add, terms(i), ex.Num(0.0)) for i in range(sys.n)]
+        sys._entropy_field = ScalarField(sys.n, ex.substitute(phi, casimirs), gradient)
     return sys._entropy_field

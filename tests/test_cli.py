@@ -159,6 +159,18 @@ def test_equilibrium_where_a_gradient_overflows_prints_no_warning(tmp_path, caps
         "hessian": [["Infinity", 0.0], [0.0, 0.0]], "offset": "Infinity"}
 
 
+def test_equilibrium_where_a_gradient_component_is_infinite_is_not_dependent(tmp_path, capsys, recwarn):
+    # grad H = (inf, 1/2, 0) at this point, so the sup-norm rescale of the Gram product has no finite scale
+    doc = rigid_doc("(x1*x1 + x2*x2 + x3*x3)/2", "s1")
+    doc["hamiltonian"] = "x1*x1*x1*x1 + x2^2/4 + x3^2/2"
+    path = write_doc(tmp_path, "quartic.json", doc)
+    assert run(["equilibrium", "--config", str(path), "--point", "1e160,1,0"], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    report = read_json(tmp_path / "equilibrium_report.json")
+    assert report["dependence"] == {"dependent": False, "lambda": None, "gram_defect": "NaN", "normalized_defect": "NaN"}
+
+
 @pytest.mark.parametrize("command", [
     ["verify"],
     ["equilibrium", "--point", "1,0,0"],
@@ -354,6 +366,16 @@ def test_evaluation_failures_are_usage_errors(tmp_path, capsys, casimir, phi, ar
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(message) and "Traceback" not in err
+
+
+def test_a_hoisted_failure_is_a_usage_error(tmp_path, capsys):
+    # d H / d x1 = 1/x1 + (terms in the repeated sqrt(x2)): at x1 = 0, x2 < 0 both fail, and the hoisted
+    # sqrt(x2), computed before the component that first uses it, is the failure reported
+    doc = rigid_doc("(x1^2 + x2^2 + x3^2)/2", "s1")
+    doc["hamiltonian"] = "ln(x1) + x1*sqrt(x2)*sqrt(x2) + x3^2/2"
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert run(["equilibrium", "--config", str(path), "--point", "0,-1,0"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: math domain error at x=[0.0, -1.0, 0.0]\n"
 
 
 def test_verify_nan_casimir_config_fails(tmp_path):

@@ -59,6 +59,19 @@ def test_library_and_cli_never_walk_the_tree(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_only_the_emitter_prints_kernel_source():
+    # every generated kernel body comes from expressions.emit, which prints nodes with to_source
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "expressions.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "to_source" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert callers == []
+
+
 def test_package_has_no_assert_statements():
     offenders = [
         f"{path.name}:{node.lineno}"

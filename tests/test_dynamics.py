@@ -179,6 +179,17 @@ def test_linear_dependence_where_the_gram_product_overflows(rigid, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("u, v", [
+    ([math.inf, 0.0], [1.0, 1.0]),
+    ([1.0, 1.0], [0.0, -math.inf]),
+])
+def test_linear_dependence_of_a_vector_that_is_not_finite(u, v):
+    # the sup-norm rescale has no finite scale: no defect is measured and nothing is dependent
+    report = mp.linear_dependence(u, v)
+    assert not report.dependent and report.lam is None
+    assert math.isnan(report.gram_defect) and math.isnan(report.normalized_defect)
+
+
 def test_linear_dependence_argument_checks():
     with pytest.raises(ValueError):
         mp.linear_dependence([1.0], [1.0, 2.0])
@@ -359,7 +370,10 @@ def test_compose_entropy_is_the_chain_rule_term_by_term():
 
 
 def test_zero_casimir_derivatives_emit_no_terms():
+    # e(3)'s C1 does not depend on x1, so u1 is the C2 term alone: (d phi / d s2)(C) * x4
     e3 = mp.load_system_file(SHIPPED_CONFIGS[2])
-    lines = dynamics._generate(e3)["metriplectic"]
-    assert "u1 = (f2*x4)" in lines
-    assert not any("*0.0" in line for line in lines if line.startswith("u"))
+    values = {l + 1: c.value for l, c in enumerate(e3.casimirs)}
+    assert mp.compose_entropy(e3).gradient[0] == ex.Mul(ex.substitute(ex.differentiate(e3.phi, 2), values), ex.Var(4))
+    for sys_def in shipped_systems():
+        lines = dynamics._generate(sys_def)["metriplectic"]
+        assert not any("*0.0" in line for line in lines if line.startswith(("u", "t")))

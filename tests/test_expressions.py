@@ -1,5 +1,9 @@
+import ast
+import copy
 import math
 import string
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,6 +245,101 @@ def test_compiled_source_matches_interpreter():
             assert got == expected or (math.isnan(got) and math.isnan(expected)), ex.to_string(tree)
             compared += 1
     assert compared > 3000
+
+
+NAMES = ["x1", "x2", "x3"]
+
+
+def _emitted_kernel(assignments, arity=3):
+    body = ex.emit(assignments, NAMES[:arity])
+    return ex.compile_kernels(arity, {"f": body}, "test")["f"], body
+
+
+def _inline_kernel(trees, arity=3):
+    body = ["return (" + "".join(f"{ex.to_source(tree, NAMES[:arity])}, " for tree in trees) + ")"]
+    return ex.compile_kernels(arity, {"f": body}, "test")["f"]
+
+
+def _graft(rng, e, shared):
+    """``e`` with some leaves replaced by one of ``shared``, as the same object or as a copy."""
+    if isinstance(e, (ex.Num, ex.Var)):
+        if rng.random() < 0.6:
+            pick = shared[int(rng.integers(len(shared)))]
+            return pick if rng.random() < 0.5 else copy.deepcopy(pick)
+        return e
+    if isinstance(e, ex.Neg):
+        return ex.Neg(_graft(rng, e.arg, shared))
+    if isinstance(e, ex.Fun):
+        return ex.Fun(e.name, _graft(rng, e.arg, shared))
+    return type(e)(_graft(rng, e.left, shared), _graft(rng, e.right, shared))
+
+
+def _repeated_operations(body):
+    """Non-leaf operations that occur more than once in a kernel body (a negative literal is a leaf)."""
+    dumps = Counter(
+        ast.dump(node)
+        for node in ast.walk(ast.parse("\n".join(body)))
+        if isinstance(node, (ast.BinOp, ast.Call)) or (isinstance(node, ast.UnaryOp) and not isinstance(node.operand, ast.Constant))
+    )
+    return [dump for dump, count in dumps.items() if count > 1]
+
+
+def test_emitted_kernels_are_the_inline_kernels_bit_for_bit():
+    # random trees sharing random subtrees: the hoisted kernel returns the inline kernel's bits, or both raise
+    rng = np.random.default_rng(29)
+    compared = hoisted = 0
+    for _ in range(400):
+        shared = [ex.Add(random_tree(rng, 3, 2), random_tree(rng, 3, 2)), random_tree(rng, 3, 3)]
+        trees = [_graft(rng, random_tree(rng, 3, int(rng.integers(1, 5))), shared) for _ in range(int(rng.integers(2, 5)))]
+        # named trees are assigned, then returned after the others by a reference to their target
+        named = [(f"v{i}", tree) if rng.random() < 0.5 else (None, tree) for i, tree in enumerate(trees)]
+        kernel, body = _emitted_kernel(named + [(None, tree) for target, tree in named if target])
+        assert _repeated_operations(body) == [], body
+        hoisted += any(line.startswith("t") for line in body)
+        inline = _inline_kernel([tree for target, tree in named if not target] + [tree for target, tree in named if target])
+        for _ in range(4):
+            p = rng.uniform(-2, 2, size=3).tolist()
+            got, expected = _outcome(kernel, p), _outcome(inline, p)
+            if ex.EvaluationError in (got, expected):
+                assert got is expected, body
+                continue
+            assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(expected)}d", *expected), body
+            compared += 1
+    assert compared > 800 and hoisted > 200
+
+
+def test_emit_without_repeats_prints_what_to_source_prints():
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        tree = random_tree(rng, 3, int(rng.integers(1, 5)))
+        body = _emitted_kernel([(None, tree)])[1]
+        if len(body) == 1:  # no subtree occurs twice
+            assert body == [f"return ({ex.to_source(tree, NAMES)}, )"]
+
+
+def test_emit_keeps_the_sign_of_zero():
+    # equal as dataclasses, with equal hashes, but 0.0/x1 and -0.0/x1 differ in sign; each is used twice
+    positive, negative = ex.parse("0/x1", 1), ex.parse("-0/x1", 1)
+    assert negative == ex.Div(ex.Num(-0.0), ex.Var(1)) and positive == negative and hash(positive) == hash(negative)
+    trees = [positive, negative, ex.Neg(positive), ex.Neg(negative)]
+    kernel, body = _emitted_kernel([(None, tree) for tree in trees], arity=1)
+    assert body[:2] == ["t1 = (0.0/x1)", "t2 = (-0.0/x1)"]
+    values = kernel([2.0])
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, 1.0]
+    assert struct.pack("4d", *values) == struct.pack("4d", *_inline_kernel(trees, arity=1)([2.0]))
+
+
+def test_emit_reports_the_failure_of_a_hoisted_subtree_first():
+    # 1/x1 fails first inline; the repeated sqrt(x2) is computed before the tree that uses it
+    tree = ex.parse("1/x1 + sqrt(x2)*sqrt(x2)", 2)
+    kernel, body = _emitted_kernel([(None, tree)], arity=2)
+    assert body == ["t1 = _sqrt(x2)", "return (((1.0/x1) + (t1*t1)), )"]
+    with pytest.raises(ex.EvaluationError) as hoisted:
+        kernel([0.0, -1.0])
+    with pytest.raises(ex.EvaluationError) as inline:
+        _inline_kernel([tree], arity=2)([0.0, -1.0])
+    assert str(hoisted.value) == "math domain error at x=[0.0, -1.0]"
+    assert str(inline.value) == "float division by zero at x=[0.0, -1.0]"
 
 
 def test_compiled_kernel_error_names_the_point():
