@@ -69,7 +69,6 @@ from .integrators import (
 from .stability import (
     LaSalleReport,
     LyapunovReport,
-    augmented_energy,
     hessian,
     lasalle_diagnostics,
     lyapunov_report,

@@ -323,8 +323,7 @@ def _cmd_simulate(args) -> int:
 
 def _default_equilibrium(args, sys_def: SystemDefinition) -> np.ndarray:
     if args.config is None and args.system == "rigid-body":
-        m0 = _parse_params(args.params).get("M0", 1.0)
-        return np.array([m0, 0.0, 0.0])
+        return np.array([RigidBodyParams(**_parse_params(args.params)).M0, 0.0, 0.0])
     raise _CliError("--analyze needs --x-e for non-built-in systems")
 
 

@@ -14,11 +14,14 @@ both fields; the normalized Gram defect
 
 is the scale-invariant proxy used to measure distance from that set.
 
-Field evaluation is compiled: :func:`expressions.emit` writes the kernels
-once per system from the trees of Pi, H and :func:`geometry.compose_entropy`
-(so its finite-difference check covers the u they run), with each repeated
-subtree computed once.  The equilibrium analysis reads grad H and
-grad phi(C) from the compiled scalar fields of :mod:`geometry`.
+Field evaluation is compiled: :func:`expressions.emit` writes each of a
+system's three kernels (conservative field, full field, diagnostics
+record) from the trees of Pi, H and :func:`geometry.compose_entropy` (so
+its finite-difference check covers the u they run), with each repeated
+subtree computed once.  A kernel is emitted and compiled the first time
+it is called for, so a run builds only the kernels it calls.  The
+equilibrium analysis reads grad H and grad phi(C) from the compiled
+scalar fields of :mod:`geometry`.
 """
 
 from __future__ import annotations
@@ -61,63 +64,64 @@ class EquilibriumConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Code generation
 
-def _generate(sys: SystemDefinition) -> dict:
-    """Bodies of the ``conservative``, ``metriplectic`` and ``diagnostics`` kernels."""
+def _generate(sys: SystemDefinition, kind: str) -> list:
+    """Body of the ``conservative``, ``metriplectic`` or ``diagnostics`` kernel."""
     n, h = sys.n, sys.hamiltonian
     names = [f"x{i + 1}" for i in range(n)]
     grad_h = [(f"g{i + 1}", g) for i, g in enumerate(h.gradient)]
     dot = lambda a, b: functools.reduce(ex.Add, map(ex.Mul, a, b))  # a1*b1 + a2*b2 + ..., in order
     nonzero = [[(p, g) for p, g in zip(row, h.gradient) if p != ex.Num(0.0)] for row in sys.poisson.entries]
     xi_pi = [dot(*zip(*pairs)) if pairs else ex.Num(0.0) for pairs in nonzero]  # Pi grad H over nonzero Pi_ij
-    conservative = ex.emit(grad_h + [(None, xi) for xi in xi_pi], names)
+    if kind == "conservative" or (sys.k == 0 and kind == "metriplectic"):
+        return ex.emit(grad_h + [(None, xi) for xi in xi_pi], names)
     if sys.k == 0:
-        return {"conservative": conservative, "metriplectic": conservative,
-                "diagnostics": ex.emit([("hval", h.value)], names) + ["return (hval, 0.0, 0.0, 0.0)"]}
+        return ex.emit([("hval", h.value)], names) + ["return (hval, 0.0, 0.0, 0.0)"]
     entropy = compose_entropy(sys)
     g, u = h.gradient, entropy.gradient
     grad_phi = [(f"u{i + 1}", u_i) for i, u_i in enumerate(u)]
     hu, hh = dot(g, u), dot(g, g)
-    xi = [(None, ex.Sub(ex.Add(xi_pi[i], ex.Mul(hu, g[i])), ex.Mul(hh, u[i]))) for i in range(n)]
-    scalars = [("hval", h.value)] + grad_h + grad_phi + [("phival", entropy.value)]
-    return {
-        "conservative": conservative,
-        "metriplectic": ex.emit(grad_h + grad_phi + xi, names),
-        "diagnostics": ex.emit(scalars + [("hu", hu), ("hh", hh), ("uu", dot(u, u))], names) + [
+    if kind == "diagnostics":
+        scalars = [("hval", h.value)] + grad_h + grad_phi + [("phival", entropy.value)]
+        return ex.emit(scalars + [("hu", hu), ("hh", hh), ("uu", dot(u, u))], names) + [
             "sdot = hu*hu - hh*uu",
             "denom = hh*uu",
             "defect = (denom - hu*hu)/denom if denom > 0.0 else 0.0",
             "defect = 0.0 if defect < 0.0 else 1.0 if defect > 1.0 else defect",
             "return (hval, phival, sdot, defect)",
-        ],
-    }
+        ]
+    xi = [(None, ex.Sub(ex.Add(xi_pi[i], ex.Mul(hu, g[i])), ex.Mul(hh, u[i]))) for i in range(n)]
+    return ex.emit(grad_h + grad_phi + xi, names)
 
 
-def _compiled(sys: SystemDefinition) -> dict:
-    if sys._compiled is None:
-        sys._compiled = ex.compile_kernels(sys.n, _generate(sys), f"{sys.name or 'system'}-dynamics")
-    return sys._compiled
+def _compiled(sys: SystemDefinition, kind: str) -> Callable:
+    """The ``kind`` kernel of ``sys``, emitted and compiled on its first use."""
+    kernel = sys._compiled.get(kind)
+    if kernel is None:
+        label = f"{sys.name or 'system'}-{kind}"
+        kernel = sys._compiled[kind] = ex.compile_kernels(sys.n, {kind: _generate(sys, kind)}, label)[kind]
+    return kernel
 
 
 def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], np.ndarray]:
     """Fast state -> derivative callable for ``kind`` in {conservative, metriplectic}."""
     if kind not in ("conservative", "metriplectic"):
         raise ValueError(f"unknown field kind {kind!r}")
-    return KernelFunction(sys.n, _compiled(sys)[kind], np.array)
+    return KernelFunction(sys.n, _compiled(sys, kind), np.array)
 
 
 def diagnostics_function(sys: SystemDefinition) -> Callable[[np.ndarray], tuple]:
     """Per-state record ``(H, phi(C), entropy production, dependence defect)``."""
-    return KernelFunction(sys.n, _compiled(sys)["diagnostics"], tuple)
+    return KernelFunction(sys.n, _compiled(sys, "diagnostics"), tuple)
 
 
 def conservative_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:
     """``Pi(x) grad H(x)``."""
-    return np.array(_compiled(sys)["conservative"](as_state(x, sys.n)))
+    return np.array(_compiled(sys, "conservative")(as_state(x, sys.n)))
 
 
 def metriplectic_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:
     """``Pi grad H + G grad phi(C)`` with the dissipation applied matrix-free."""
-    return np.array(_compiled(sys)["metriplectic"](as_state(x, sys.n)))
+    return np.array(_compiled(sys, "metriplectic")(as_state(x, sys.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def dependence_defect(sys: SystemDefinition, x: Sequence[float]) -> float:
 
     Continuous in the state, zero exactly on the linear-dependence set.
     """
-    return _compiled(sys)["diagnostics"](as_state(x, sys.n))[3]
+    return _compiled(sys, "diagnostics")(as_state(x, sys.n))[3]
 
 
 @dataclass(frozen=True)

@@ -502,8 +502,8 @@ def to_source(e: Expression, names: Sequence[str]) -> str:
     if cls is Num:
         if not math.isfinite(e.value):
             raise ValueError(f"cannot compile non-finite literal {e.value!r}")
-        # parenthesize negatives: '**' binds tighter than unary minus in Python
-        return f"({e.value!r})" if e.value < 0 else repr(e.value)
+        # parenthesize negatives and -0.0: '**' binds tighter than unary minus in Python
+        return f"({e.value!r})" if math.copysign(1.0, e.value) < 0 else repr(e.value)
     if cls is Var:
         if e.index > len(names):
             raise ValueError(f"variable index {e.index} beyond name table of {len(names)}")

@@ -291,8 +291,8 @@ class SystemDefinition:
     :func:`verify_casimir` pass per the given :class:`VerificationPolicy`.
     ``VerificationPolicy(samples=0)`` skips the sampling (used when a caller
     wants to inspect a broken system deliberately).  Instances are
-    immutable; the dynamics kernels are the only lazy cache besides the
-    entropy field.
+    immutable; the only lazy caches are the entropy field and the dynamics
+    kernels, each kernel compiled the first time it is called for.
     """
 
     def __init__(
@@ -329,7 +329,7 @@ class SystemDefinition:
         self.name = name
         self.verification = verification
         self._entropy_field: Optional[ScalarField] = None
-        self._compiled = None  # filled by dynamics on first use
+        self._compiled: dict = {}  # kind -> dynamics kernel, filled by dynamics._compiled on first use
 
         if verification.samples > 0:
             pts = sample_box(n, verification.box, verification.samples, verification.seed)

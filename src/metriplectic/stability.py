@@ -5,8 +5,9 @@ An equilibrium x_e is certified by the augmented energy
 Hessian is positive definite at x_e, then ``L = H_phi - H_phi(x_e)`` is
 a Lyapunov function for the dissipative dynamics and trajectories
 started nearby approach the set where grad H and grad phi(C) are
-linearly dependent.  The Hessian is exact: each report differentiates
-the gradient trees once more and compiles the upper triangle, and the
+linearly dependent.  Each report compiles one kernel from the trees of
+H and :func:`geometry.compose_entropy` that returns the gradient of
+H_phi, the upper triangle of its exact Hessian and its value; the
 finite-difference :func:`hessian` is kept as a cross-check.  The
 convergence half is checked a posteriori on a computed trajectory: L
 must be nonincreasing step to step (within slack), and the trajectory
@@ -31,7 +32,6 @@ __all__ = [
     "LyapunovReport",
     "LaSalleReport",
     "PD_TOL",
-    "augmented_energy",
     "hessian",
     "lyapunov_report",
     "lasalle_diagnostics",
@@ -42,15 +42,6 @@ DEFAULT_FD_SCALE = 1e-4
 # lasalle_diagnostics' defaults: the tail share of the samples and the dependence defect it must reach
 TAIL_FRACTION = 0.1
 DEFECT_TOL = 1e-6
-
-
-def augmented_energy(sys: SystemDefinition) -> ScalarField:
-    """``H + phi(C_1, ..., C_k)`` with the chain-rule gradient, built on each call."""
-    entropy = compose_entropy(sys)
-    h = sys.hamiltonian
-    value = ex.add(h.value, entropy.value)
-    gradient = [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(sys.n)]
-    return ScalarField(sys.n, value, gradient)
 
 
 def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:
@@ -101,7 +92,6 @@ def lyapunov_report(
     """
     _check_positive(pd_tol, "pd_tol")
     point = np.asarray(x_e, dtype=float)
-    field = augmented_energy(sys)
     xi_pi_norm = float(np.max(np.abs(conservative_field(sys, point))))
     if not xi_pi_norm <= _equilibrium_threshold(point):
         warnings.warn(
@@ -109,20 +99,23 @@ def lyapunov_report(
             f"(|Pi grad H|_inf = {xi_pi_norm:.3e})",
             stacklevel=2,
         )
-    grad_norm = float(np.max(np.abs(field.gradient_at(point))))
-    upper = [ex.differentiate(field.gradient[i], j + 1) for i in range(sys.n) for j in range(i, sys.n)]
-    (kernel,) = _compile(sys.n, "hessian", hessian=upper)
-    sym = np.empty((sys.n, sys.n))
-    rows, cols = np.triu_indices(sys.n)  # row by row, the order of upper
-    sym[rows, cols] = sym[cols, rows] = kernel(as_state(point, sys.n))
+    n, h, entropy = sys.n, sys.hamiltonian, compose_entropy(sys)
+    gradient = [ex.add(g_i, u_i) for g_i, u_i in zip(h.gradient, entropy.gradient)]
+    upper = [ex.differentiate(gradient[i], j + 1) for i in range(n) for j in range(i, n)]
+    # gradient, Hessian triangle, value: a point where several fail raises the gradient's error first
+    (kernel,) = _compile(n, "energy-casimir", report=gradient + upper + [ex.add(h.value, entropy.value)])
+    values = kernel(as_state(point, n))
+    sym = np.empty((n, n))
+    rows, cols = np.triu_indices(n)  # row by row, the order of upper
+    sym[rows, cols] = sym[cols, rows] = values[n:-1]
     eigenvalues = np.linalg.eigvalsh(sym)
     return LyapunovReport(
         point=point,
-        grad_norm=grad_norm,
+        grad_norm=float(np.max(np.abs(values[:n]))),
         hessian=sym,
         eigenvalues=eigenvalues,
         positive_definite=bool(eigenvalues[0] > pd_tol),
-        lyapunov_offset=float(field.value_at(point)),
+        lyapunov_offset=values[-1],
         pd_tol=pd_tol,
     )
 
@@ -174,7 +167,7 @@ def lasalle_diagnostics(
         entropy = traj.column("phi_c")
         defects = traj.column("dependence_defect")
     else:
-        diag = _compiled(sys)["diagnostics"]
+        diag = _compiled(sys, "diagnostics")
         records = np.array([diag(s) for s in traj.states.tolist()])
         energy, entropy, defects = records[:, 0], records[:, 1], records[:, 3]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import time
@@ -330,6 +331,23 @@ def test_simulate_config_analyze_needs_xe(tmp_path):
         tmp_path,
     )
     assert code == 0
+
+
+def test_simulate_analyze_takes_the_default_equilibrium_from_rigid_body_params(tmp_path, monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Heavier(mp.RigidBodyParams):
+        M0: float = 2.0
+
+    seen, lasalle = [], cli.lasalle_diagnostics
+
+    def record(traj, sys_def, x_e, **kwargs):
+        seen.append(x_e.tolist())
+        return lasalle(traj, sys_def, x_e, **kwargs)
+
+    monkeypatch.setattr(cli, "RigidBodyParams", Heavier)
+    monkeypatch.setattr(cli, "lasalle_diagnostics", record)
+    assert run(["simulate", "--x0", "2.02,0.1,-0.06", "--t1", "1", "--h", "1e-2", "--analyze"], tmp_path) == 0
+    assert seen == [[2.0, 0.0, 0.0]]
 
 
 def test_diverging_run_with_unusable_xe_stops_before_integrating(tmp_path):

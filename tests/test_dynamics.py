@@ -375,5 +375,5 @@ def test_zero_casimir_derivatives_emit_no_terms():
     values = {l + 1: c.value for l, c in enumerate(e3.casimirs)}
     assert mp.compose_entropy(e3).gradient[0] == ex.Mul(ex.substitute(ex.differentiate(e3.phi, 2), values), ex.Var(4))
     for sys_def in shipped_systems():
-        lines = dynamics._generate(sys_def)["metriplectic"]
+        lines = dynamics._generate(sys_def, "metriplectic")
         assert not any("*0.0" in line for line in lines if line.startswith(("u", "t")))

@@ -323,10 +323,18 @@ def test_emit_keeps_the_sign_of_zero():
     assert negative == ex.Div(ex.Num(-0.0), ex.Var(1)) and positive == negative and hash(positive) == hash(negative)
     trees = [positive, negative, ex.Neg(positive), ex.Neg(negative)]
     kernel, body = _emitted_kernel([(None, tree) for tree in trees], arity=1)
-    assert body[:2] == ["t1 = (0.0/x1)", "t2 = (-0.0/x1)"]
+    assert body[:2] == ["t1 = (0.0/x1)", "t2 = ((-0.0)/x1)"]
     values = kernel([2.0])
     assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, -1.0, 1.0]
     assert struct.pack("4d", *values) == struct.pack("4d", *_inline_kernel(trees, arity=1)([2.0]))
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+def test_a_power_of_negative_zero_compiles_to_what_evaluate_gives(exponent):
+    # unparenthesized, -0.0**2 reads as -(0.0**2) = -0.0 where (-0.0)**2 is 0.0
+    tree = ex.Pow(ex.Num(-0.0), ex.Num(exponent))
+    (value,) = _emitted_kernel([(None, tree)], arity=1)[0]([1.0])
+    assert struct.pack("d", value) == struct.pack("d", ex.evaluate(tree, [1.0]))
 
 
 def test_emit_reports_the_failure_of_a_hoisted_subtree_first():

@@ -35,6 +35,12 @@ def analytic_hessian_eigs(p: mp.RigidBodyParams) -> np.ndarray:
     return np.sort([1 / p.I2 - 1 / p.I1, 1 / p.I3 - 1 / p.I1, 2 * p.M0 * p.M0])
 
 
+def augmented_energy(sys_def: mp.SystemDefinition) -> mp.ScalarField:
+    """H + phi(C) with the summed gradient trees: the finite-difference Hessian's input."""
+    h, entropy = sys_def.hamiltonian, mp.compose_entropy(sys_def)
+    return mp.ScalarField(sys_def.n, ex.add(h.value, entropy.value), list(map(ex.add, h.gradient, entropy.gradient)))
+
+
 def exact_hessian(field: mp.ScalarField, x) -> np.ndarray:
     """The tree-walked derivatives of the gradient trees, upper triangle mirrored."""
     n = field.arity
@@ -51,16 +57,16 @@ def rigid():
 
 
 # ---------------------------------------------------------------------------
-# augmented_energy
+# H + phi(C), as lyapunov_report computes it
 
 def test_augmented_energy_at_equilibrium(rigid):
-    field = mp.augmented_energy(rigid)
-    assert field.value_at([1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert mp.lyapunov_report(rigid, [1.0, 0.0, 0.0]).lyapunov_offset == pytest.approx(0.0, abs=1e-15)
 
 
 def test_augmented_energy_generic_point(rigid):
-    field = mp.augmented_energy(rigid)
-    assert field.value_at([1.0, 1.0, 1.0]) == pytest.approx(17 / 12, rel=1e-14)
+    with pytest.warns(UserWarning, match="not an equilibrium"):
+        report = mp.lyapunov_report(rigid, [1.0, 1.0, 1.0])
+    assert report.lyapunov_offset == pytest.approx(17 / 12, rel=1e-14)
 
 
 def test_augmented_energy_without_entropy_equals_hamiltonian():
@@ -69,26 +75,36 @@ def test_augmented_energy_without_entropy_equals_hamiltonian():
         hamiltonian=mp.ScalarField.from_string("x1^2 + x2^2 + x3^2", 3),
         verification=mp.VerificationPolicy(samples=20),
     )
-    field = mp.augmented_energy(sys_def)
     rng = np.random.default_rng(30)
     for _ in range(20):
         p = rng.uniform(-2, 2, 3)
-        assert field.value_at(p) == sys_def.hamiltonian.value_at(p)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "point .* is not an equilibrium", UserWarning)
+            report = mp.lyapunov_report(sys_def, p)
+        assert report.lyapunov_offset == sys_def.hamiltonian.value_at(p)
+        assert report.grad_norm == np.max(np.abs(sys_def.hamiltonian.gradient_at(p)))
 
 
-def test_augmented_energy_is_built_once_per_system():
+@pytest.mark.parametrize("name", sorted(IDENTITY_SYSTEMS))
+def test_report_is_the_augmented_field_bit_for_bit(name):
+    # the one report kernel gives what the ScalarField of H + phi(C) and its tree-walked Hessian give
+    build, x_e = IDENTITY_SYSTEMS[name]
+    sys_def = build()
+    field = augmented_energy(sys_def)
+    for k, p in enumerate([x_e] + mp.sample_box(sys_def.n, (-2.0, 2.0), 50, seed=4).tolist()):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "point .* is not an equilibrium", UserWarning)
+            report = mp.lyapunov_report(sys_def, p)
+        assert report.grad_norm == float(np.max(np.abs(field.gradient_at(p))))
+        assert report.grad_norm > 0.0 or k == 0
+        assert report.lyapunov_offset == field.value_at(p)
+        assert np.array_equal(report.hessian, exact_hessian(field, p))
+
+
+def test_a_second_report_and_lasalle_see_the_same_system():
     sys_def = mp.rigid_body_system(mp.RigidBodyParams(5.0, 3.0, 2.0, 2.0))
     x_e = [2.0, 0.0, 0.0]
     report = mp.lyapunov_report(sys_def, x_e)
-    field = mp.augmented_energy(sys_def)
-    # the field computes what a freshly assembled one does, and the report is built from it
-    h, entropy = sys_def.hamiltonian, mp.compose_entropy(sys_def)
-    fresh = mp.ScalarField(3, ex.add(h.value, entropy.value), [ex.add(h.gradient[i], entropy.gradient[i]) for i in range(3)])
-    for p in mp.sample_box(3, (-2.0, 2.0), 50, seed=4):
-        assert field.value_at(p) == fresh.value_at(p)
-        assert np.array_equal(field.gradient_at(p), fresh.gradient_at(p))
-    assert np.array_equal(report.hessian, exact_hessian(fresh, x_e))
-    assert report.lyapunov_offset == fresh.value_at(x_e)
     again = mp.lyapunov_report(sys_def, x_e)
     assert np.array_equal(again.eigenvalues, report.eigenvalues) and again.grad_norm == report.grad_norm
     # lasalle_diagnostics gives the same report after lyapunov_report as on a system built afresh
@@ -116,18 +132,18 @@ def test_hessian_of_cross_term():
 
 
 def test_hessian_of_augmented_energy(rigid):
-    field = mp.augmented_energy(rigid)
+    field = augmented_energy(rigid)
     out = mp.hessian(field, [1.0, 0.0, 0.0])
     assert out == pytest.approx(np.diag([2.0, 1 / 6, 2 / 3]), abs=1e-6)
 
 
 def test_hessian_is_exactly_symmetric(rigid):
-    out = mp.hessian(mp.augmented_energy(rigid), [0.3, -0.2, 0.9])
+    out = mp.hessian(augmented_energy(rigid), [0.3, -0.2, 0.9])
     assert np.array_equal(out, out.T)
 
 
 def test_hessian_argument_checks(rigid):
-    field = mp.augmented_energy(rigid)
+    field = augmented_energy(rigid)
     with pytest.raises(ValueError):
         mp.hessian(field, [1.0, 0.0])
     for h in (0.0, math.nan, math.inf):
@@ -202,7 +218,7 @@ def test_exact_hessian_agrees_with_finite_differences(name):
     sys_def = build()
     report = mp.lyapunov_report(sys_def, x_e)
     assert np.array_equal(report.hessian, report.hessian.T)
-    assert np.max(np.abs(report.hessian - mp.hessian(mp.augmented_energy(sys_def), x_e))) <= 1e-6
+    assert np.max(np.abs(report.hessian - mp.hessian(augmented_energy(sys_def), x_e))) <= 1e-6
     assert report.positive_definite == (name != "rigid-x3-config")
 
 
@@ -212,7 +228,7 @@ def test_lyapunov_offset_is_the_sum_the_lasalle_series_makes(name):
     # the L series adds the diagnostics kernel's H and phi(C) columns
     build, x_e = IDENTITY_SYSTEMS[name]
     sys_def = build()
-    field, entropy = mp.augmented_energy(sys_def), mp.compose_entropy(sys_def)
+    field, entropy = augmented_energy(sys_def), mp.compose_entropy(sys_def)
     diagnostics = mp.diagnostics_function(sys_def)
     for p in [x_e] + mp.sample_box(sys_def.n, (-3.0, 3.0), 2000, seed=9).tolist():
         offset = sys_def.hamiltonian.value_at(p) + entropy.value_at(p)
@@ -223,7 +239,6 @@ def test_lyapunov_offset_is_the_sum_the_lasalle_series_makes(name):
 def test_simulate_analyze_never_compiles_the_hessian(tmp_path, monkeypatch):
     # lasalle_diagnostics needs neither the Hessian nor the field of H + phi(C)
     monkeypatch.setattr(stability, "_compile", None)
-    monkeypatch.setattr(stability, "augmented_energy", None)
     assert cli.main(["simulate", "--x0", "1.01,0.05,-0.03", "--t1", "1", "--h", "1e-2", "--analyze",
                      "--out-dir", str(tmp_path)]) == 0
 
