@@ -12,9 +12,9 @@ kernel span{g}: for any vector u,
     u^T G u = (g . u)^2 - ||g||^2 ||u||^2
             = -sum_{i<j} (u_i g_j - u_j g_i)^2 <= 0,
 
-with equality exactly when g and u are linearly dependent.  The closed
-form is the internal representation (O(n) application); the entrywise
-grid and the pairwise minor sum serve as independent cross-checks.
+with equality exactly when g and u are linearly dependent.  The fields
+apply the closed form matrix-free; the dense matrix and the minor sum, for
+one gradient or a stack of them, serve the public functions and the checks.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ class DissipationMatrix:
         return len(self.grad)
 
 
+def _dense(g: np.ndarray) -> np.ndarray:
+    """``g g^T - (g . g) I`` for a gradient g, or one matrix per row of a (..., n) stack."""
+    return g[..., :, None] * g[..., None, :] - (g[..., None, :] @ g[..., :, None]) * np.eye(g.shape[-1])
+
+
 def build_dissipation_matrix(gradH: Sequence[float]) -> DissipationMatrix:
     """Dense ``g g^T - ||g||^2 I`` for g = gradH."""
     g = np.asarray(gradH, dtype=float)
@@ -57,8 +62,7 @@ def build_dissipation_matrix(gradH: Sequence[float]) -> DissipationMatrix:
         raise ValueError(f"gradient must be a vector, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError(f"gradient has non-finite components: {g.tolist()}")
-    mat = np.outer(g, g) - np.dot(g, g) * np.eye(len(g))
-    return DissipationMatrix(matrix=mat, grad=g.copy())
+    return DissipationMatrix(matrix=_dense(g), grad=g.copy())
 
 
 def apply_dissipation(gradH: Sequence[float], v: Sequence[float]) -> np.ndarray:
@@ -70,23 +74,23 @@ def apply_dissipation(gradH: Sequence[float], v: Sequence[float]) -> np.ndarray:
     return np.dot(g, w) * g - np.dot(g, g) * w
 
 
-def entropy_production(gradH: Sequence[float], gradS: Sequence[float]) -> float:
+def entropy_production(gradH: Sequence[float], gradS: Sequence[float]) -> float | np.ndarray:
     """The quadratic form ``(grad S)^T G grad S`` via the pairwise minor sum.
 
     Each term is a negated square, so the result is <= 0 by construction;
     it vanishes exactly when the two gradients are linearly dependent.
+    Two vectors give a float; two (..., n) stacks give one value per row.
     """
     g = np.asarray(gradH, dtype=float)
     s = np.asarray(gradS, dtype=float)
-    if g.shape != s.shape or g.ndim != 1:
+    if g.shape != s.shape or g.ndim == 0:
         raise ValueError(f"shape mismatch: {g.shape} vs {s.shape}")
-    total = 0.0
-    n = len(g)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = s[i] * g[j] - s[j] * g[i]
+    total = np.zeros(g.shape[:-1])
+    for i in range(g.shape[-1]):
+        for j in range(i + 1, g.shape[-1]):
+            m = s[..., i] * g[..., j] - s[..., j] * g[..., i]
             total -= m * m
-    return float(total)
+    return float(total) if g.ndim == 1 else total
 
 
 @dataclass(frozen=True)
@@ -114,39 +118,36 @@ def verify_metriplectic_conditions(
     Each passes iff its worst residual is <= ``tol``, a finite number > 0.
     m1 is the worst :func:`geometry.verify_casimir` report (the first
     Casimir holding it); that pass raises its evaluation errors before
-    grad H and grad phi(C) are evaluated.  Empty maxima (k = 0 systems)
-    count as 0; the first residual that is not finite is reported and fails
-    its condition, and a point where grad H is not finite has a nan m2 and
-    m3 residual.  ``m2`` multiplies the dense matrix against the gradient so
-    the cancellation of the entrywise construction is exercised honestly
-    rather than being zero by algebraic identity.
+    grad H and grad phi(C) are evaluated, point by point.  m2 and m3 are one
+    stacked pass; ``m2`` multiplies each point's dense matrix against its
+    gradient, so the cancellation of the entrywise construction is exercised
+    honestly.  Empty maxima (k = 0 systems) count as 0; the first residual
+    that is not finite is reported and fails its condition, and a point
+    where grad H is not finite has a nan m2 and m3 residual.
     """
     casimirs = verify_casimir(sys.poisson, sys.casimirs, points, tol)
-    entropy = compose_entropy(sys)
-    g_residuals, productions = [], []
-    for p in points:
+    gradients = sys.hamiltonian._gradient, compose_entropy(sys)._gradient
+    xs = np.asarray(points, dtype=float)
+    rows = []
+    for p in xs.tolist():
         try:
-            g = sys.hamiltonian.gradient_at(p)
-            u = entropy.gradient_at(p)
+            rows.append([gradient(p) for gradient in gradients])
         except ex.EvaluationError as exc:
-            raise ex.EvaluationError(
-                f"condition check failed at {np.asarray(p).tolist()}: {exc}"
-            ) from exc
-        try:
-            g_residual = float(np.max(np.abs(build_dissipation_matrix(g).matrix @ g)))
-            production = entropy_production(g, u) if sys.k > 0 else 0.0
-        except ValueError:  # grad H is not finite, so G is not defined: the point fails m2 and m3
-            g_residual = production = math.nan
-        g_residuals.append(g_residual)
-        productions.append(production)
+            raise ex.EvaluationError(f"condition check failed at {p}: {exc}") from exc
+    g, u = np.array(rows).transpose(1, 0, 2)  # grad H and grad phi(C), one row per point
+    with np.errstate(all="ignore"):
+        g_residuals = np.max(np.abs(_dense(g) @ g[..., None]), axis=(1, 2))
+        productions = entropy_production(g, u)
+    undefined = ~np.all(np.isfinite(g), axis=1)  # G is not defined there
+    g_residuals[undefined] = productions[undefined] = math.nan
     i = _worst(g_residuals, ties=True)
-    m1, m2, m3_pos = 0.0, g_residuals[i], 0.0
-    worst = {"m1": None, "m2": np.asarray(points[i], dtype=float), "m3": None}
+    m1, m2, m3_pos = 0.0, float(g_residuals[i]), 0.0
+    worst = {"m1": None, "m2": xs[i], "m3": None}
     if sys.k > 0:
         casimir = casimirs[_worst([r.max_residual for r in casimirs])]
         j = _worst(productions, ties=True)
-        m1, m3 = casimir.max_residual, productions[j]
+        m1, m3 = casimir.max_residual, float(productions[j])
         m3_pos = m3 if not m3 <= 0.0 else 0.0  # the positive part; nan stays nan
-        worst.update(m1=casimir.worst_point, m3=np.asarray(points[j], dtype=float))
+        worst.update(m1=casimir.worst_point, m3=xs[j])
     report = ConditionReport(m1_max=m1, m2_max=m2, m3_max_positive=m3_pos, passed=False, worst_points=worst)
     return replace(report, passed=not report.failed_conditions(tol))

@@ -85,7 +85,7 @@ def _generate(sys: SystemDefinition, kind: str) -> list:
         return ex.emit(scalars + [("hu", hu), ("hh", hh), ("uu", dot(u, u))], names) + [
             "sdot = hu*hu - hh*uu",
             "denom = hh*uu",
-            "defect = (denom - hu*hu)/denom if denom > 0.0 else 0.0",
+            "defect = 0.0 if hh == 0.0 or uu == 0.0 or denom == 0.0 else (denom - hu*hu)/denom",
             "defect = 0.0 if defect < 0.0 else 1.0 if defect > 1.0 else defect",
             "return (hval, phival, sdot, defect)",
         ]
@@ -150,9 +150,9 @@ def linear_dependence(
 
     ``tol`` bounds the normalized defect and must be a finite number > 0.
     When ``||u||^2 ||v||^2`` overflows, both vectors are divided by their
-    sup norms first (the normalized defect does not change) and ``lam``
-    and the Gram defect are scaled back; a sup norm that is not finite
-    leaves no defect (both are nan) and the vectors are not dependent.
+    sup norms first and ``lam`` and the Gram defect are scaled back.  A zero
+    vector, or a product that underflows, is dependent with defect 0; else a
+    component that is not finite leaves nan defects, not dependent.
     """
     uu_vec = np.asarray(u, dtype=float)
     vv_vec = np.asarray(v, dtype=float)
@@ -163,11 +163,10 @@ def linear_dependence(
     uu, vv, uv = _dots(uu_vec, vv_vec)
     if uu * vv == math.inf:
         su, sv = float(np.max(np.abs(uu_vec))), float(np.max(np.abs(vv_vec)))
-        if not (su < math.inf and sv < math.inf):
-            return DependenceReport(dependent=False, lam=None, gram_defect=math.nan, normalized_defect=math.nan)
-        uu, vv, uv = _dots(uu_vec / su, vv_vec / sv)
-    gram = max(0.0, uu * vv - uv * uv)
-    normalized = gram / (uu * vv) if uu * vv > 0.0 else 0.0  # the diagnostics kernel's guard
+        uu, vv, uv = _dots(uu_vec, vv_vec, su, sv)
+    zero = uu == 0.0 or vv == 0.0 or uu * vv == 0.0  # the diagnostics kernel's rule
+    gram = 0.0 if zero else max(uu * vv - uv * uv, 0.0)  # max keeps a nan first argument
+    normalized = 0.0 if zero else gram / (uu * vv)
     dependent = normalized <= tol
     lam = uv / vv * su / sv if (dependent and vv > 0.0) else None
     return DependenceReport(
@@ -175,9 +174,10 @@ def linear_dependence(
     )
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> tuple:
-    """``(u . u, v . v, u . v)``; an overflow gives inf, and inf * 0 nan, without a warning."""
+def _dots(u: np.ndarray, v: np.ndarray, su: float = 1.0, sv: float = 1.0) -> tuple:
+    """``(u . u, v . v, u . v)`` of u / su and v / sv; overflow gives inf, inf * 0 and inf / inf nan, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
+        u, v = u / su, v / sv
         return float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import metriplectic as mp
 from metriplectic import cli, dynamics, stability
+from metriplectic import expressions as ex
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -506,6 +507,83 @@ def test_numeric_inputs_outside_the_library_rule_are_usage_errors(tmp_path, caps
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and name in err
     assert not out.exists() and elapsed < 2.0
+
+
+def overflow_doc():
+    """The rigid body written with products, which overflow to inf where ``^`` raises."""
+    doc = rigid_doc("(x1*x1 + x2*x2 + x3*x3)/2", "s1")
+    doc["hamiltonian"] = "x1*x1/6 + x2*x2/4 + x3*x3/2"
+    return doc
+
+
+def test_verify_where_the_residuals_overflow_prints_no_warning(tmp_path, capsys):
+    path = write_doc(tmp_path, "big.json", overflow_doc())
+    assert run(["verify", "--config", str(path), "--box-lo=-1e200", "--box-hi=1e200", "--samples", "50"], tmp_path) == 1
+    assert capsys.readouterr() == ("m1_max=inf m2_max=nan m3_max_positive=nan pass=False\n", "")
+    report = _strict_json(tmp_path / "verify_report.json")
+    assert (report["m1_max"], report["m2_max"], report["m3_max_positive"]) == ("Infinity", "NaN", "NaN")
+
+
+def test_a_load_whose_casimir_residual_overflows_prints_one_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "big.json", dict(overflow_doc(), verification={"box": [-1e200, 1e200]}))
+    assert run(["equilibrium", "--config", str(path), "--point", "1,0,0"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load {path}: casimir 0: residual inf at point ") and err.count("\n") == 1
+
+
+def test_pi_entries_that_overflow_against_their_mirror_fail_antisymmetry(tmp_path, capsys):
+    # x1*x1*x1 is inf and -(x1*x1*x1) is -inf where |x1| > 6e102, so Pi_12 + Pi_21 is nan
+    doc = {"dimension": 2, "poisson": [["0", "x1*x1*x1"], ["-(x1*x1*x1)", "0"]], "hamiltonian": "x1 + x2"}
+    path = write_doc(tmp_path, "cube.json", doc)
+    assert run(["verify", "--config", str(path), "--box-lo=-1e200", "--box-hi=1e200"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: Pi(x) + Pi(x)^T has max entry nan at x=")
+    path = write_doc(tmp_path, "cube_load.json", dict(doc, verification={"box": [-1e200, 1e200]}))
+    assert run(["simulate", "--config", str(path), "--x0", "1,0", "--t1", "0.01"], tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot load {path}: Pi(x) + Pi(x)^T has max entry nan at x=")
+
+
+def test_equilibrium_where_a_gradient_component_is_nan_is_not_dependent(tmp_path, capsys):
+    # grad H = (nan, -inf, 2) at this point: 4 x1^3 - 3 x1^2 x2 is inf - inf
+    doc = dict(overflow_doc(), hamiltonian="x1*x1*x1*x1 - x1*x1*x1*x2 + x3*x3")
+    path = write_doc(tmp_path, "quartic.json", doc)
+    assert run(["equilibrium", "--config", str(path), "--point", "1e160,1e160,1"], tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "equilibrium_report.json")
+    assert report["dependence"] == {"dependent": False, "lambda": None, "gram_defect": "NaN", "normalized_defect": "NaN"}
+
+
+def document(sys_def):
+    """A config document of a built system, its expressions written by ``to_string``."""
+    return {
+        "dimension": sys_def.n,
+        "poisson": [[ex.to_string(e) for e in row] for row in sys_def.poisson.entries],
+        "hamiltonian": ex.to_string(sys_def.hamiltonian.value),
+        "casimirs": [ex.to_string(c.value) for c in sys_def.casimirs],
+        "phi": ex.to_string(sys_def.phi),
+    }
+
+
+def test_sampled_checks_print_at_most_one_error_line_at_any_scale(tmp_path, capsys):
+    # the five systems of the identity runs, each verified and loaded on boxes from tiny to overflowing
+    unchecked = mp.VerificationPolicy(samples=0)
+    systems = {
+        "rigid": (["--system", "rigid-body"], mp.rigid_body_system(verification=unchecked)),
+        "rigid-params": (["--system", "rigid-body", "--params", "I1=5,I2=3,I3=2,M0=2"],
+                         mp.rigid_body_system(mp.RigidBodyParams(5.0, 3.0, 2.0, 2.0), unchecked)),
+    }
+    for config in ("configs/rigid_body.json", "configs/rigid_body_x3_axis.json", "perfbench/configs/e3.json"):
+        systems[config] = (["--config", str(CONFIG_DIR.parent / config)],
+                           mp.load_system_file(CONFIG_DIR.parent / config, unchecked))
+    for name, (system, sys_def) in systems.items():
+        for scale in (1e-150, 1.0, 1e100, 1e160, 1e200):
+            doc = dict(document(sys_def), verification={"box": [-scale, scale], "samples": 50})
+            path = write_doc(tmp_path, "doc.json", doc)
+            for args in (["verify"] + system + [f"--box-lo={-scale}", f"--box-hi={scale}", "--samples", "50"],
+                         ["equilibrium", "--config", str(path), "--point", ",".join(["0"] * sys_def.n)]):
+                code = run(args, tmp_path / "out")
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (name, scale, args[0])
+                assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (name, scale, err)
 
 
 def test_adaptive_span_shorter_than_the_end_slack_takes_a_step(tmp_path):

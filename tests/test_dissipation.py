@@ -156,6 +156,17 @@ def test_production_length_mismatch():
         mp.entropy_production([1.0], [1.0, 2.0])
 
 
+def test_production_of_stacks_is_each_row_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for n in range(1, 7):
+        g, u = rng.uniform(-3, 3, (2, 5, n))
+        rows = [mp.entropy_production(g_i, u_i) for g_i, u_i in zip(g, u)]
+        assert mp.entropy_production(g, u).tolist() == rows
+        assert mp.entropy_production(g[None], u[None]).shape == (1, 5)
+    with pytest.raises(ValueError):
+        mp.entropy_production(1.0, 2.0)  # a scalar is no vector
+
+
 # ---------------------------------------------------------------------------
 # verify_metriplectic_conditions
 

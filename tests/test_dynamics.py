@@ -190,6 +190,24 @@ def test_linear_dependence_of_a_vector_that_is_not_finite(u, v):
     assert math.isnan(report.gram_defect) and math.isnan(report.normalized_defect)
 
 
+def test_linear_dependence_of_a_vector_with_a_nan_component():
+    report = mp.linear_dependence([math.nan, 0.0], [1.0, 1.0])
+    assert not report.dependent and report.lam is None
+    assert math.isnan(report.gram_defect) and math.isnan(report.normalized_defect)
+    assert mp.linear_dependence([math.nan, 0.0], [0.0, 0.0]).dependent  # a zero vector is dependent on any other
+
+
+def test_dependence_defect_where_a_gradient_component_is_nan():
+    # grad H = (nan, -inf, 2) at this point: 4 x1^3 - 3 x1^2 x2 is inf - inf
+    sys_def = mp.SystemDefinition(
+        poisson=mp.PoissonStructure.from_strings([["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]),
+        hamiltonian=mp.ScalarField.from_string("x1*x1*x1*x1 - x1*x1*x1*x2 + x3*x3", 3),
+        casimirs=[mp.ScalarField.from_string("(x1*x1 + x2*x2 + x3*x3)/2", 3)],
+        phi=mp.parse("s1", 1, "s"),
+    )
+    assert math.isnan(mp.dependence_defect(sys_def, [1e160, 1e160, 1.0]))
+
+
 def test_linear_dependence_argument_checks():
     with pytest.raises(ValueError):
         mp.linear_dependence([1.0], [1.0, 2.0])

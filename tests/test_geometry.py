@@ -40,6 +40,14 @@ def test_poisson_matrix_values():
     assert np.array_equal(pi, np.array([[0, -3, 2], [3, 0, -1], [-2, 1, 0]]))
 
 
+def test_poisson_matrix_fails_a_nan_antisymmetry_defect():
+    # x1*x1*x1 overflows to inf against its mirror -inf, and inf + -inf is nan
+    structure = mp.PoissonStructure.from_strings([["0", "x1*x1*x1"], ["-(x1*x1*x1)", "0"]])
+    assert mp.poisson_matrix(structure, [1e100, 0.0])[0, 1] == 1e300
+    with pytest.raises(mp.AntisymmetryError, match=r"max entry nan at x=\[1e\+200, 0\.0\]"):
+        mp.poisson_matrix(structure, [1e200, 0.0])
+
+
 def test_poisson_matrix_zero_diagonal():
     structure = rigid_poisson()
     rng = np.random.default_rng(0)
