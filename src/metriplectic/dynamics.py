@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,7 +86,8 @@ def _generate(sys: SystemDefinition, kind: str) -> list:
         return ex.emit(scalars + [("hu", hu), ("hh", hh), ("uu", dot(u, u))], names) + [
             "sdot = hu*hu - hh*uu",
             "denom = hh*uu",
-            "defect = 0.0 if hh == 0.0 or uu == 0.0 or denom == 0.0 else (denom - hu*hu)/denom",
+            f"if 0.0 < denom <= {float_info.max!r}: defect = (denom - hu*hu)/denom",  # else linear_dependence's rule
+            f"else: defect = dependence([{', '.join(dict(grad_h))}], [{', '.join(dict(grad_phi))}]).normalized_defect",
             "defect = 0.0 if defect < 0.0 else 1.0 if defect > 1.0 else defect",
             "return (hval, phival, sdot, defect)",
         ]
@@ -98,7 +100,8 @@ def _compiled(sys: SystemDefinition, kind: str) -> Callable:
     kernel = sys._compiled.get(kind)
     if kernel is None:
         label = f"{sys.name or 'system'}-{kind}"
-        kernel = sys._compiled[kind] = ex.compile_kernels(sys.n, {kind: _generate(sys, kind)}, label)[kind]
+        env = {**ex.SOURCE_ENV, "dependence": linear_dependence}  # the diagnostics kernel's rare branch
+        kernel = sys._compiled[kind] = ex.compile_kernels(sys.n, {kind: _generate(sys, kind)}, label, env)[kind]
     return kernel
 
 
@@ -149,22 +152,22 @@ def linear_dependence(
     """Scale-invariant dependence test via the normalized Gram defect.
 
     ``tol`` bounds the normalized defect and must be a finite number > 0.
-    When ``||u||^2 ||v||^2`` overflows, both vectors are divided by their
-    sup norms first and ``lam`` and the Gram defect are scaled back.  A zero
-    vector, or a product that underflows, is dependent with defect 0; else a
-    component that is not finite leaves nan defects, not dependent.
+    A zero vector (all components 0) is dependent with defect 0.  Where
+    ``||u||^2 ||v||^2`` is 0 or not finite, both vectors are divided by their
+    sup norms first (the diagnostics kernel's defect comes from here then) and
+    ``lam`` and the Gram defect scaled back; a non-finite component leaves nan defects.
     """
     uu_vec = np.asarray(u, dtype=float)
     vv_vec = np.asarray(v, dtype=float)
     if uu_vec.shape != vv_vec.shape or uu_vec.ndim != 1:
         raise ValueError(f"shape mismatch: {uu_vec.shape} vs {vv_vec.shape}")
     _check_positive(tol, "tolerance")
+    zero = not (uu_vec.any() and vv_vec.any())
     su = sv = 1.0
     uu, vv, uv = _dots(uu_vec, vv_vec)
-    if uu * vv == math.inf:
+    if not zero and not 0.0 < uu * vv < math.inf:
         su, sv = float(np.max(np.abs(uu_vec))), float(np.max(np.abs(vv_vec)))
         uu, vv, uv = _dots(uu_vec, vv_vec, su, sv)
-    zero = uu == 0.0 or vv == 0.0 or uu * vv == 0.0  # the diagnostics kernel's rule
     gram = 0.0 if zero else max(uu * vv - uv * uv, 0.0)  # max keeps a nan first argument
     normalized = 0.0 if zero else gram / (uu * vv)
     dependent = normalized <= tol

@@ -563,12 +563,12 @@ def emit(assignments: Sequence[tuple[Optional[str], Expression]], names: Sequenc
     return lines + ["return (" + "".join(f"{source}, " for source in returned) + ")"] if returned else lines
 
 
-def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str) -> dict:
+def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str, env: Mapping = SOURCE_ENV) -> dict:
     """Compile one function ``name(xs)`` per entry of ``bodies``.
 
     A body is a list of statement lines, ending in a ``return``, over the
     locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
-    run with :data:`SOURCE_ENV` in scope, and each maps a math error raised
+    run with ``env`` (:data:`SOURCE_ENV` or a superset) in scope, and each maps a math error raised
     inside it to :class:`EvaluationError` naming its text (no errno) and ``xs``.
     """
     unpack = "".join(f"        x{i + 1} = xs[{i}]\n" for i in range(arity))
@@ -578,7 +578,7 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str)
         + '        raise EvaluationError(f"{exc.args[-1]} at x={xs}") from exc\n'
         for name, body in bodies.items()
     )
-    namespace = exec_source(source, label, SOURCE_ENV, next(iter(bodies)))
+    namespace = exec_source(source, label, env, next(iter(bodies)))
     return {name: namespace[name] for name in bodies}
 
 

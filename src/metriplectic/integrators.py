@@ -1,9 +1,10 @@
 """Fixed and adaptive Runge-Kutta integration with per-step monitors.
 
-The stepper is the classical 4th-order scheme.  Adaptive mode estimates
-the local error by step doubling (one full step against two half steps,
-Richardson factor 1/15 for an order-4 method) and accepts a step only
-when the estimate is below ``abs_tol + rel_tol * ||x||_inf``.
+Fixed mode steps with the classical 4th-order scheme, adaptive mode with
+the embedded Dormand-Prince 5(4) pair: it accepts a step only when the
+estimate ``||h * sum_i e_i k_i||_inf`` (e = 5th- less 4th-order weights) is
+below ``abs_tol + rel_tol * ||x||_inf``, advances with the 5th-order solution
+and reuses its last stage as the next first (FSAL): six field calls an attempt.
 
 When a diagnostics callable is supplied, every accepted step is scored
 with ``(H, phi(C), entropy production, dependence defect)``; energy
@@ -15,7 +16,7 @@ Both modes run in a loop emitted from one template per state dimension
 n, over float locals.  It calls the system's compiled kernels directly
 when ``field`` and ``diagnostics`` come from :mod:`dynamics`, and any
 other callable through a thin array adapter; either way it computes the
-bits that :func:`rk4_step` computes on arrays.
+bits that :func:`rk4_step` computes on arrays in fixed mode.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ DIAGNOSTIC_COLUMNS = ("H", "phi_c", "entropy_production", "dependence_defect")
 MONOTONE_SLACK = 1e-10
 # integrate's default bound on |x_i|
 DIVERGENCE_BOUND = 1e6
+# Dormand-Prince 5(4): rows a_2..a_7 (a_7 = b, the 5th-order weights) and e = b - b*, b* the 4th-order ones
+_DP_A = ((1/5,), (3/40, 9/40), (44/45, -56/15, 32/9), (19372/6561, -25360/2187, 64448/6561, -212/729),
+         (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656), (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84))
+_DP_E = (71/57600, 0.0, -71/16695, 71/1920, -17253/339200, 22/525, -1/40)
 
 
 class IntegrationError(RuntimeError):
@@ -77,7 +82,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy: fixed step or step-doubling adaptivity.
+    """Step-size policy: fixed RK4 step or Dormand-Prince 5(4) adaptivity.
 
     ``h``, ``abs_tol``, ``rel_tol`` and ``max_steps`` must each be a finite
     number > 0.
@@ -183,10 +188,10 @@ def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndar
 
 
 def _loop_source(n: int, adaptive: bool) -> str:
-    """Source of ``run``: the fixed or the adaptive RK4 loop over float locals.
+    """Source of ``run``: the fixed RK4 or the adaptive Dormand-Prince loop over float locals.
 
     The state is unrolled into ``x1..xn``; ``F`` and ``D`` take a list of n
-    floats and return a tuple.  Each ``rk4`` block is :func:`rk4_step`
+    floats and return a tuple.  The fixed step is :func:`rk4_step`
     operation for operation, and the checks and monitors are those
     documented on :func:`integrate`, written as float comparisons.
     ``run`` returns ``(status, message, cause, *MonitorSummary fields)``.
@@ -197,21 +202,12 @@ def _loop_source(n: int, adaptive: bool) -> str:
     sup = lambda terms: terms[0] if n == 1 else f"max({', '.join(terms)})"
     mon = "acc, rej, e0, md, s0, cnt, mi, mer"
 
-    def rk4(src, dst, step, t):  # dst = rk4_step(F, src, t, step)
-        axpy = lambda k, a: "[" + ", ".join(f"{src}{i} + {a}*{k}{i}" for i in ix) + "]"
-        return [
-            f"if {step} <= 0: raise ValueError('step size must be > 0')",
-            f"p = 0.5*{step}",
-            "try:",
-            f"    stage = 1; {vec('a')} = F({lst(src)})",
-            f"    stage = 2; {vec('b')} = F({axpy('a', 'p')})",
-            f"    stage = 3; {vec('c')} = F({axpy('b', 'p')})",
-            f"    stage = 4; {vec('d')} = F({axpy('c', step)})",
+    def calls(lines, t):  # the stage lines under one handler: an EvaluationError ends the run at time t
+        return ["try:"] + ["    " + line for line in lines] + [
             "except EvaluationError as exc:",
             f"    err = FieldEvaluationError(stage, {t}, exc); err.__cause__ = exc",
             f"    return 'diverged', str(err), err, {mon}",
-            f"w = {step}/6.0",
-        ] + [f"{dst}{i} = {src}{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
+        ]
 
     def accept(last):  # the accepted state x at time tn
         return [
@@ -243,29 +239,41 @@ def _loop_source(n: int, adaptive: bool) -> str:
                "if D is not None:",
                f"    rec = D({lst('x')}); e0 = rec[0]; s0 = sl = rec[1]; md = mi = 0.0; cnt = 0; R.extend(rec)",
            ], 1)
-    if not adaptive:
+    if not adaptive:  # x = rk4_step(F, x, t, hs), operation for operation
+        axpy = lambda k, a: "[" + ", ".join(f"x{i} + {a}*{k}{i}" for i in ix) + "]"
         body = indent([
             "for i in range(1, n_steps + 1):",
             "    tn = t0 + i * h if i < n_steps else t1",
             "    hs = tn - (t0 + (i - 1) * h) if i == n_steps else h",
-        ], 1) + indent(rk4("x", "x", "hs", "t0 + (i - 1) * h") + accept("i == n_steps"), 2)
-    else:
+        ], 1) + indent(["if hs <= 0: raise ValueError('step size must be > 0')", "p = 0.5*hs"] + calls([
+            f"stage = 1; {vec('a')} = F({lst('x')})",
+            f"stage = 2; {vec('b')} = F({axpy('a', 'p')})",
+            f"stage = 3; {vec('c')} = F({axpy('b', 'p')})",
+            f"stage = 4; {vec('d')} = F({axpy('c', 'hs')})",
+        ], "t0 + (i - 1) * h") + ["w = hs/6.0"] + [f"x{i} = x{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
+            + accept("i == n_steps"), 2)
+    else:  # k1..k7 are a..g, stage s is F(x + h*sum_j A[s-2][j]*k_j), and k7 = F(y) is the next k1 once y is accepted
+        dp = lambda row, i: " + ".join(f"{w!r}*{'abcdefg'[j]}{i}" for j, w in enumerate(row) if w)
+        stages = [f"stage = {s}; {vec('abcdefg'[s - 1])} = F([{', '.join(f'x{i} + h*({dp(row, i)})' for i in ix)}])"
+                  for s, row in enumerate(_DP_A[:-1], 2)]
         body = indent([
             "t = t0; h = min(h, t1 - t0); t_end = t1 - 1e-12 * max(1.0, abs(t1)); mer = 0.0",
+        ] + calls([f"stage = 1; {vec('a')} = F({lst('x')})"], "t") + [
             "while t < t_end or acc == 0:  # a span shorter than the end slack still takes a step",
-            "    h = min(h, t1 - t); hh = 0.5 * h",
+            "    h = min(h, t1 - t)",
             "    if acc + rej >= max_steps:",
             "        raise IntegrationError(f'step budget max_steps={max_steps} exhausted')",
-        ], 1) + indent(rk4("x", "f", "h", "t") + rk4("x", "y", "hh", "t") + rk4("y", "z", "hh", "t + 0.5 * h") + [
-            f"est = {sup([f'abs(f{i} - z{i})' for i in ix])} / 15.0",
-            "if " + " + ".join(f"(f{i} - z{i})*0.0" for i in ix) + " != 0.0:  # an inf or nan difference",
+        ], 1) + indent(calls(stages + [f"y{i} = x{i} + h*({dp(_DP_A[-1], i)})" for i in ix] + [
+            f"stage = 7; {vec('g')} = F({lst('y')})"], "t") + [f"r{i} = h*({dp(_DP_E, i)})" for i in ix] + [
+            f"est = {sup([f'abs(r{i})' for i in ix])}",
+            "if " + " + ".join(f"r{i}*0.0" for i in ix) + " != 0.0:  # an inf or nan component",
             f"    return 'diverged', f'non-finite error estimate at t={{t!r}}', None, {mon}",
             f"tol = abs_tol + rel_tol * {sup([f'abs(x{i})' for i in ix])}",
             "if est <= tol:",
             "    tn = min(t + h, t1)",
             "    if tn == t:",
             f"        return 'diverged', f'step h={{h!r}} no longer advances t={{t!r}}', None, {mon}",
-            f"    {vec('x')} = {vec('z')}",
+            f"    {vec('x')} = {vec('y')}; {vec('a')} = {vec('g')}",
             "    mer = max(mer, est / tol)",
         ], 2) + indent(accept("tn >= t_end") + ["t = tn"], 3) + indent([
             "else:",
@@ -315,17 +323,18 @@ def integrate(
 
     The span ``t1 - t0`` must be a finite number > 0, and so must
     ``escape_radius`` when a guard is set and, in adaptive mode, the
-    first half step ``min(h, t1 - t0) / 2``.  Samples are stored at every
+    first stage step ``min(h, t1 - t0) / 5``.  Samples are stored at every
     accepted step (or every ``stride``-th, plus always the final state).  ``diagnostics`` is an optional
     state -> 4-tuple callable; when given, each stored sample carries a
     record and per-step monitors are maintained regardless of stride
     (an entropy increase counts when phi(C) rises by more than
     ``MONOTONE_SLACK * (1 + |phi(C)|)`` over one step).
 
-    Raises :class:`DivergenceError` (with the partial trajectory) when
-    the state becomes non-finite, exceeds ``divergence_bound``, or the
-    field or an accepted state's diagnostics fail to evaluate, and in adaptive
-    mode when the error estimate is non-finite or an accepted step no longer advances t.
+    Raises :class:`DivergenceError` (with the partial trajectory) when the state becomes non-finite
+    or exceeds ``divergence_bound``; when the field fails, naming its stage (1-4 fixed, 1-7 adaptive,
+    where stage 7 is the candidate state, the final one included) and the step's start time; when an
+    accepted state's diagnostics fail; and in adaptive mode when the error estimate is non-finite or
+    an accepted step no longer advances t.
     The escape guard --- leaving the ball of ``escape_radius`` around
     ``escape_center`` --- truncates the run and flags the trajectory
     instead of raising.
@@ -346,8 +355,8 @@ def integrate(
         _check_positive(escape_radius, "escape radius")
         escaped = lambda xs: np.linalg.norm(np.array(xs) - escape_center) > escape_radius
 
-    if control.mode == "adaptive":  # the loop's first half step, which must not underflow to 0
-        _check_positive(0.5 * min(control.h, t1 - t0), f"first half step of h={control.h!r} over span {t_span!r}")
+    if control.mode == "adaptive":  # the loop's first stage step, which must not underflow to 0
+        _check_positive(min(control.h, t1 - t0) / 5, f"first stage step h/5 of h={control.h!r} over span {t_span!r}")
     n_steps = 0
     if control.mode == "fixed":
         steps = (t1 - t0) / control.h - 1e-9

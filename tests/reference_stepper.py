@@ -4,16 +4,24 @@ It steps with the public :func:`metriplectic.rk4_step` on numpy arrays and
 keeps the accept logic of an array stepper written out plainly: state
 checks, per-step monitors, stride storage and the escape guard (measured
 with ``np.linalg.norm``), on the fixed schedule ``t0 + i*h`` and the
-adaptive step-doubling controller.  Its signature is that of
-:func:`metriplectic.integrate`.
+adaptive Dormand-Prince 5(4) controller, whose stages it forms on arrays
+with the generated loop's operations in the same order.  Its signature is
+that of :func:`metriplectic.integrate`.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 import metriplectic as mp
-from metriplectic.integrators import MONOTONE_SLACK, FieldEvaluationError
+from metriplectic.integrators import _DP_A, _DP_E, MONOTONE_SLACK, FieldEvaluationError
+
+
+def _combine(weights, ks):
+    """``sum_j w_j * k_j`` over the nonzero weights, added left to right."""
+    return functools.reduce(operator.add, [w * k for w, k in zip(weights, ks) if w])
 
 
 class _Recorder:
@@ -118,18 +126,27 @@ def reference_integrate(field, x0, t_span, control=mp.StepControl(), *, diagnost
     t_end = t1 - 1e-12 * max(1.0, abs(t1))
     attempts = 0
     recorder.monitor.max_error_ratio = 0.0
+
+    def stage(number, state):
+        try:
+            return np.asarray(field(state), dtype=float)
+        except mp.EvaluationError as exc:
+            err = FieldEvaluationError(number, t, exc)
+            err.__cause__ = exc
+            raise recorder.divergence(str(err)) from err
+
+    k1 = stage(1, x)
     while t < t_end or recorder.monitor.steps_accepted == 0:
         h = min(h, t1 - t)
         attempts += 1
         if attempts > control.max_steps:
             raise mp.IntegrationError(f"step budget max_steps={control.max_steps} exhausted")
-        try:
-            full = mp.rk4_step(field, x, t, h)
-            half = mp.rk4_step(field, x, t, 0.5 * h)
-            double = mp.rk4_step(field, half, t + 0.5 * h, 0.5 * h)
-        except FieldEvaluationError as exc:
-            raise recorder.divergence(str(exc)) from exc
-        est = float(np.max(np.abs(full - double))) / 15.0
+        ks = [k1]
+        for number, row in enumerate(_DP_A[:-1], 2):
+            ks.append(stage(number, x + h * _combine(row, ks)))
+        y = x + h * _combine(_DP_A[-1], ks)
+        k7 = stage(7, y)
+        est = float(np.max(np.abs(h * _combine(_DP_E, ks + [k7]))))
         if not math.isfinite(est):
             raise recorder.divergence(f"non-finite error estimate at t={t!r}")
         tol = control.abs_tol + control.rel_tol * float(np.max(np.abs(x)))
@@ -137,7 +154,7 @@ def reference_integrate(field, x0, t_span, control=mp.StepControl(), *, diagnost
             t_next = min(t + h, t1)
             if t_next == t:
                 raise recorder.divergence(f"step h={h!r} no longer advances t={t!r}")
-            x = double
+            x, k1 = y, k7
             recorder.monitor.max_error_ratio = max(recorder.monitor.max_error_ratio, est / tol)
             if recorder.accept(t_next, x, t_next >= t_end):
                 return recorder.build("escaped")

@@ -64,9 +64,9 @@ def recording_compiles(monkeypatch) -> list:
     """The names of the kernels ``expressions.compile_kernels`` builds from now on, in order."""
     compiled, original = [], expressions.compile_kernels
 
-    def record(arity, bodies, label):
+    def record(arity, bodies, *label_and_env):
         compiled.extend(bodies)
-        return original(arity, bodies, label)
+        return original(arity, bodies, *label_and_env)
 
     monkeypatch.setattr(expressions, "compile_kernels", record)
     return compiled

@@ -166,6 +166,29 @@ def test_linear_dependence_matches_the_diagnostics_defect(rigid, scale):
         assert abs(report.normalized_defect - mp.dependence_defect(rigid, x)) <= 1e-12
 
 
+def test_orthogonal_vectors_whose_gram_product_underflows_are_not_dependent():
+    # ||u||^2 ||v||^2 = 1e-800 underflows to 0; only a vector whose components are all 0 is zero
+    report = mp.linear_dependence([1e-100, 0.0], [0.0, 1e-100])
+    assert not report.dependent and report.lam is None and report.normalized_defect == 1.0
+    assert mp.linear_dependence([1e-100, 0.0], [0.0, 0.0]).dependent
+
+
+def test_dependence_defect_where_the_gram_product_underflows(rigid):
+    unit = mp.dependence_defect(rigid, [1.0, 1.0, 0.0])
+    assert unit > 0.03 and mp.dependence_defect(rigid, [1e-100, 1e-100, 0.0]) == pytest.approx(unit, rel=1e-12)
+
+
+def test_dependence_defect_where_the_gram_product_overflows(recwarn):
+    # written with products, which overflow to inf where ``^`` raises: ||g||^2 ||u||^2 is inf at 1e100 scale
+    sys_def = mp.load_system({"dimension": 3, "poisson": [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]],
+                              "hamiltonian": "x1*x1/6 + x2*x2/4 + x3*x3/2",
+                              "casimirs": ["(x1*x1 + x2*x2 + x3*x3)/2"], "phi": "s1"})
+    for x in ([1.0, 0.7, 0.3], [1.0, 1.0, 0.0]):
+        defect = mp.dependence_defect(sys_def, [1e100 * c for c in x])
+        assert 0.0 < defect == pytest.approx(mp.dependence_defect(sys_def, x), rel=1e-12)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_linear_dependence_where_the_gram_product_overflows(rigid, recwarn):
     # ||g||^2 ||u||^2 overflows at this point, where the two gradients point in different directions
     x = 1e100 * np.array([1.0, 0.7, 0.3])

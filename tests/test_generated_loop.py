@@ -222,9 +222,10 @@ def test_divergence_bound_parity():
     assert str(ref) == "state exceeded divergence bound -inf at t=0.01"
 
 
-# fixed: the four stages of step 11; adaptive: the full, half and double block of attempt 4
+# fixed: the four stages of step 11; adaptive: stage 1 (call 1, reused by FSAL after it), then six calls an
+# attempt for stages 2-7: stage 7 of attempt 6, all of attempt 7 and stages 2-6 of attempt 8
 @pytest.mark.parametrize("mode, failing_call", [("fixed", c) for c in range(41, 45)] +
-                         [("adaptive", c) for c in range(37, 49)])
+                         [("adaptive", c) for c in [1, *range(37, 49)]])
 def test_stage_error_parity(mode, failing_call):
     calls = [0]
 
@@ -240,9 +241,25 @@ def test_stage_error_parity(mode, failing_call):
     for f, _ in _both(field):
         calls[0] = 0
         assert_same_run(_run(mp.integrate, f, [1.0, -2.0], (0.0, 5.0), control, stride=2), ref)
-    stage = (failing_call - 1) % 4 + 1
+    stage = (failing_call - 1) % 4 + 1 if mode == "fixed" else 1 if failing_call == 1 else (failing_call - 2) % 6 + 2
     assert isinstance(ref, mp.DivergenceError) and f"stage {stage}, t=" in str(ref)
     assert ref.__cause__.stage == stage
+
+
+def test_field_undefined_exactly_at_the_final_state_ends_the_run_parity():
+    # stage 7 evaluates the field at the candidate state, the final one included
+    field = lambda xs: (1.0 - xs[0], 0.5)
+    control = mp.StepControl(mode="adaptive", h=0.1)
+    final = mp.integrate(_marked(field, 2), [0.0, 0.0], (0.0, 1.0), control).final_state.tolist()
+
+    def kernel(xs):
+        if xs == final:
+            raise mp.EvaluationError(f"undefined at x={xs}")
+        return field(xs)
+
+    ref = _check(_marked(kernel, 2), [0.0, 0.0], (0.0, 1.0), control, stride=3)
+    assert isinstance(ref, mp.DivergenceError) and ref.__cause__.stage == 7
+    assert ref.trajectory.times[-1] <= ref.__cause__.t < 1.0
 
 
 # call 1 is the diagnostics of the initial state; fixed: steps 1 and 6; adaptive: accepted steps 1 and 6

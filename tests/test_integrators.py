@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,48 @@ def test_adaptive_rejects_when_started_too_coarse(rigid):
     assert traj.monitor.steps_rejected > 0
 
 
+def test_dormand_prince_tableau_meets_its_order_conditions():
+    # each coefficient is the double nearest p/q with q < 10^6, and two such fractions differ by far more than an ulp
+    exact = lambda row: [Fraction(w).limit_denominator(10 ** 6) for w in row]
+    A, e = [exact(row) for row in mp.integrators._DP_A], exact(mp.integrators._DP_E)
+    assert [[float(w) for w in row] for row in A] == [list(row) for row in mp.integrators._DP_A]
+    c = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), Fraction(1), Fraction(1)]
+    assert [sum(row) for row in A] == c[1:]
+    b = list(A[-1]) + [Fraction(0)]  # the 5th-order weights; the 7th stage only feeds the estimate
+    b4 = [bi - ei for bi, ei in zip(b, e)]
+    for weights, order in ((b, 5), (b4, 4)):
+        for q in range(1, order + 1):
+            assert sum(w * ci ** (q - 1) for w, ci in zip(weights, c)) == Fraction(1, q)
+    assert sum(b[i + 1] * sum(a * c[j] for j, a in enumerate(row)) for i, row in enumerate(A)) == Fraction(1, 6)
+    assert sum(e) == 0 and len(e) == 7
+
+
+def test_adaptive_reuses_the_last_stage_as_the_next_first(rigid):
+    # FSAL: one call for k1 at t0, then six per attempt, accepted or rejected
+    field = mp.field_function(rigid, "metriplectic")
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return field(x)
+
+    control = mp.StepControl(mode="adaptive", h=1.0, abs_tol=1e-12, rel_tol=1e-12)
+    traj = mp.integrate(counted, [1.0, 0.5, 0.3], (0.0, 3.0), control)
+    mon = traj.monitor
+    assert mon.steps_rejected > 0
+    assert calls[0] == 1 + 6 * (mon.steps_accepted + mon.steps_rejected)
+
+
+def test_adaptive_error_falls_with_the_tolerance():
+    errors = {}
+    for tol in (1e-8, 1e-11):
+        control = mp.StepControl(mode="adaptive", h=0.1, abs_tol=tol, rel_tol=tol)
+        traj = mp.integrate(lambda x: -x, [1.0], (0.0, 5.0), control)
+        errors[tol] = abs(traj.final_state[0] - math.exp(-5.0))
+        assert traj.times[-1] == 5.0 and errors[tol] <= 100 * tol
+    assert errors[1e-8] >= 100 * errors[1e-11]
+
+
 def test_adaptive_non_finite_error_estimate_diverges():
     calls = [0]
 
@@ -189,7 +232,7 @@ def test_adaptive_non_finite_error_estimate_diverges():
     partial = err.value.trajectory
     assert partial.status == "diverged"
     assert 0.3 < partial.times[-1] <= math.log(1.5)
-    assert calls[0] < 12 * 100  # not a step budget spent shrinking h
+    assert calls[0] < 6 * 100  # not a step budget spent shrinking h
 
 
 def test_adaptive_step_that_does_not_advance_t_diverges():
