@@ -17,9 +17,9 @@ is the scale-invariant proxy used to measure distance from that set.
 Field evaluation is compiled: :func:`expressions.emit` writes each of a
 system's three kernels (conservative field, full field, diagnostics
 record) from the trees of Pi, H and :func:`geometry.compose_entropy` (so
-its finite-difference check covers the u they run), with each repeated
-subtree computed once.  A kernel is emitted and compiled the first time
-it is called for, so a run builds only the kernels it calls.  The
+they run its exact chain-rule u), with each repeated subtree computed
+once.  A kernel is emitted and compiled the first time it is called
+for, so a run builds only the kernels it calls.  The
 equilibrium analysis reads grad H and grad phi(C) from the compiled
 scalar fields of :mod:`geometry`.
 """

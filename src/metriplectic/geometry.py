@@ -4,9 +4,12 @@ A system couples an antisymmetric state-dependent matrix Pi(x) with a
 Hamiltonian H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an
 entropy shaper phi: R^k -> R.  Casimir-ness cannot be proved from the
 expression trees, so it is certified by sampling: the residual
-``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points.  Scalar
-fields and Poisson grids compile to kernels once, when built, and every
-evaluation and check here runs on them.
+``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points.  Every
+gradient is exact by construction: symbolic derivatives of the value,
+or the chain rule over them for grad phi(C); the finite-difference
+``stability.hessian`` is the package's only finite-difference code, a
+test cross-check.  Scalar fields and Poisson grids compile to kernels
+once, when built, and every evaluation and check here runs on them.
 """
 
 from __future__ import annotations
@@ -157,36 +160,32 @@ def poisson_matrix(structure: PoissonStructure, x: Sequence[float]) -> np.ndarra
 
 
 class ScalarField:
-    """Expression plus its symbolic gradient, all of a fixed arity.
+    """An expression of a fixed arity and its gradient, as trees and kernels.
 
-    The gradient is cross-checked against central finite differences of
-    the value at a few sample points when the field is built, so a
-    hand-assembled gradient (e.g. a chain rule) cannot silently disagree
-    with the value expression.
+    The gradient is exact by construction: each component is the value's
+    :func:`expressions.differentiate`, and the only other gradients are
+    :func:`compose_entropy`'s chain rule over such components.  No
+    finite difference runs here; ``stability.hessian`` is the package's
+    one, used as a cross-check.
     """
 
-    _CHECK_POINTS = 8
-    _CHECK_STEP = 1e-5
-    _CHECK_TOL = 1e-4
+    def __init__(self, arity: int, value: ex.Expression):
+        self._set(arity, value, [ex.differentiate(value, i) for i in range(1, arity + 1)])
 
-    def __init__(self, arity: int, value: ex.Expression, gradient: Sequence[ex.Expression]):
+    def _set(self, arity: int, value: ex.Expression, gradient: Sequence[ex.Expression]) -> None:
         if arity < 1:
             raise ValueError(f"arity must be >= 1, got {arity}")
-        if len(gradient) != arity:
-            raise ValueError(f"gradient has {len(gradient)} components, expected {arity}")
-        used = max(ex.max_var_index(value), *(ex.max_var_index(g) for g in gradient), 0)
+        used = ex.max_var_index(value)
         if used > arity:
             raise ValueError(f"field uses variable {used} beyond arity {arity}")
         self.arity = arity
         self.value = value
         self.gradient = tuple(gradient)
         self._value, self._gradient = _compile(arity, "field", value=[value], gradient=self.gradient)
-        self._check_gradient()
 
     @classmethod
     def from_expression(cls, value: ex.Expression, arity: int) -> "ScalarField":
-        grads = [ex.differentiate(value, i) for i in range(1, arity + 1)]
-        return cls(arity, value, grads)
+        return cls(arity, value)
 
     @classmethod
     def from_string(cls, text: str, arity: int) -> "ScalarField":
@@ -198,31 +197,12 @@ class ScalarField:
     def gradient_at(self, x: Sequence[float]) -> np.ndarray:
         return np.array(self._gradient(as_state(x, self.arity)))
 
-    def _check_gradient(self) -> None:
-        rng = np.random.default_rng(12345)
-        pts = rng.uniform(-1.5, 1.5, size=(self._CHECK_POINTS, self.arity))
-        h = self._CHECK_STEP
-        for p in pts:
-            try:
-                grad = self._gradient(p.tolist())
-            except ex.EvaluationError:
-                continue  # outside the domain; nothing to compare
-            for i, sym in enumerate(grad):
-                stencil_hi = p.tolist()
-                stencil_lo = p.tolist()
-                stencil_hi[i] += h
-                stencil_lo[i] -= h
-                try:
-                    fd = (self._value(stencil_hi)[0] - self._value(stencil_lo)[0]) / (2 * h)
-                except ex.EvaluationError:
-                    continue
-                if abs(sym) > 1e6 or abs(fd) > 1e6:
-                    continue  # too ill-conditioned for a finite-difference check
-                if abs(fd - sym) > self._CHECK_TOL * max(1.0, abs(sym)):
-                    raise ValueError(
-                        f"gradient component {i + 1} disagrees with finite differences "
-                        f"at {p.tolist()}: symbolic {sym!r}, central difference {fd!r}"
-                    )
+
+def _chain_rule_field(arity: int, value: ex.Expression, gradient: Sequence[ex.Expression]) -> ScalarField:
+    """A field whose gradient trees are assembled from exact derivatives by a chain rule."""
+    field = ScalarField.__new__(ScalarField)
+    field._set(arity, value, gradient)
+    return field
 
 
 def _worst(values: Sequence[float], ties: bool = False) -> int:
@@ -341,8 +321,9 @@ def compose_entropy(sys: SystemDefinition) -> ScalarField:
 
     Its gradient, which the dynamics kernels run, is the chain rule
     ``u_i = sum_l (d phi / d s_l)(C) d C_l / d x_i`` term by term (a zero
-    factor drops its term), checked by finite differences when built.  A
-    function of Casimirs is one too; for k = 0 it is the zero field.
+    factor drops its term), exact because each factor is a derivative
+    tree.  A function of Casimirs is one too; for k = 0 it is the zero
+    field.
     """
     if sys._entropy_field is None:
         casimirs = {l + 1: c.value for l, c in enumerate(sys.casimirs)}
@@ -350,5 +331,5 @@ def compose_entropy(sys: SystemDefinition) -> ScalarField:
         partials = [ex.substitute(ex.differentiate(phi, l + 1), casimirs) for l in range(sys.k)]
         terms = lambda i: (ex.mul(f, c.gradient[i]) for f, c in zip(partials, sys.casimirs))
         gradient = [functools.reduce(ex.add, terms(i), ex.Num(0.0)) for i in range(sys.n)]
-        sys._entropy_field = ScalarField(sys.n, ex.substitute(phi, casimirs), gradient)
+        sys._entropy_field = _chain_rule_field(sys.n, ex.substitute(phi, casimirs), gradient)
     return sys._entropy_field

@@ -183,7 +183,7 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
     verified by sampling (per the document's ``verification`` block, or
     the default policy), so failures surface at load rather than during
     a simulation.  ``verification`` overrides the document's block when
-    given.
+    given; the block is still checked against the schema.
 
     Schema::
 
@@ -221,17 +221,8 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
         ScalarField.from_expression(_parse_field(text, n, f"casimirs[{i}]"), n)
         for i, text in enumerate(casimir_texts)
     ]
-    k = len(casimirs)
-
-    phi = None
-    if k > 0:
-        if "phi" not in document:
-            raise ConfigError("phi is required when casimirs are declared")
-        phi = _parse_field(document["phi"], k, "phi", prefix="s")
-    elif "phi" in document:
-        raise ConfigError("phi given but no casimirs declared")
-
-    policy = verification if verification is not None else _verification_policy(document)
+    phi = _parse_field(document["phi"], max(len(casimirs), 1), "phi", prefix="s") if "phi" in document else None
+    policy = _verification_policy(document)  # checked also when overridden
     name = document.get("name", "")
     if not isinstance(name, str):
         raise ConfigError("name: expected a string")
@@ -242,7 +233,7 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
             casimirs=casimirs,
             phi=phi,
             name=name,
-            verification=policy,
+            verification=verification or policy,
         )
     except (CasimirError, AntisymmetryError):
         raise  # already carries the worst point / residual

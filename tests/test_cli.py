@@ -74,6 +74,23 @@ def test_verify_bad_casimir_config_fails(tmp_path):
     assert len(worst) == 3  # the point where the residual peaked
 
 
+def test_verify_passes_on_a_hamiltonian_with_a_fast_oscillation(tmp_path):
+    # a central difference with step 1e-5 misjudged the exact gradient of this H, so the config did not load
+    doc = read_json(CONFIG_DIR / "rigid_body.json")
+    doc["hamiltonian"] = "(x1^2/3 + x2^2/2 + x3^2)/2 + 1e-3*sin(10000*x1)"
+    assert run(["verify", "--config", str(write_doc(tmp_path, "wiggle.json", doc))], tmp_path) == 0
+
+
+@pytest.mark.parametrize("block", [[1], {"samples": "many"}, {"bogus": 1}])
+def test_every_command_refuses_a_bad_verification_block(tmp_path, capsys, block):
+    # verify overrides the document's sampling plan, and still checks the block
+    doc = dict(read_json(CONFIG_DIR / "rigid_body.json"), verification=block)
+    path = write_doc(tmp_path, "block.json", doc)
+    for args in (["verify"], ["equilibrium", "--point", "1,0,0"], ["simulate", "--x0", "1,0,0", "--t1", "0.01"]):
+        assert run(args + ["--config", str(path)], tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot load {path}: verification")
+
+
 def test_verify_unknown_system(tmp_path):
     assert run(["verify", "--system", "nosuch"], tmp_path) == 2
 
@@ -501,6 +518,12 @@ def test_csv_edge_values_match_fstring_formatting(tmp_path):
     (["equilibrium", "--point", "inf,0,0"], "--point"),
     (["simulate", "--x0", "1.01,0,0", "--t1", "5e-324", "--adaptive"], "first stage step"),
     (["simulate", "--x0", "1.01,0,0", "--t1", "5", "--h", "5e-324", "--adaptive"], "first stage step"),
+    (["verify", "--params", "I1"], "malformed parameter override 'I1'"),
+    (["verify", "--params", "I1=abc"], "non-numeric value 'abc'"),
+    (["verify", "--params", "M0=nan"], "parameters must be finite"),
+    (["verify", "--params", "I1=inf"], "parameters must be finite"),
+    (["equilibrium", "--point", "1,a,0"], "malformed --point"),
+    (["simulate", "--x0", "1.01,0,0", "--t1", "1", "--guard-center", "1,0"], "--guard-center dimension mismatch"),
 ])
 def test_numeric_inputs_outside_the_library_rule_are_usage_errors(tmp_path, capsys, args, name):
     out = tmp_path / "out"

@@ -351,19 +351,15 @@ def null_coordinate_systems(seed, count):
     systems = []
     while len(systems) < count:
         k = len(systems) % 3 + 1
-        try:
-            casimirs = [
-                mp.ScalarField.from_expression(
-                    ex.substitute(random_tree(rng, 2, 3), {1: ex.Var(3), 2: ex.Var(4)}), 4)
-                for _ in range(k)
-            ]
-            sys_def = mp.SystemDefinition(
-                poisson, mp.ScalarField.from_expression(random_tree(rng, 4, 3), 4), casimirs,
-                ex.parse(TRANSCENDENTAL_PHI[k], k, "s"), verification=mp.VerificationPolicy(samples=0),
-            )
-            mp.compose_entropy(sys_def)
-        except ValueError:
-            continue  # a random field that fails its own finite-difference check
+        casimirs = [
+            mp.ScalarField.from_expression(ex.substitute(random_tree(rng, 2, 3), {1: ex.Var(3), 2: ex.Var(4)}), 4)
+            for _ in range(k)
+        ]
+        sys_def = mp.SystemDefinition(
+            poisson, mp.ScalarField.from_expression(random_tree(rng, 4, 3), 4), casimirs,
+            ex.parse(TRANSCENDENTAL_PHI[k], k, "s"), verification=mp.VerificationPolicy(samples=0),
+        )
+        mp.compose_entropy(sys_def)
         systems.append(sys_def)
     return systems
 
@@ -408,6 +404,27 @@ def test_compose_entropy_is_the_chain_rule_term_by_term():
             for l, c in enumerate(sys_def.casimirs):
                 total = ex.add(total, ex.mul(partials[l], c.gradient[i]))
             assert repr(u) == repr(total)
+
+
+def test_compose_entropy_gradient_is_the_derivative_of_its_value():
+    # the chain rule against differentiate(substitute(phi, C), i), the other exact route to grad phi(C)
+    rng = np.random.default_rng(34)
+    compared = 0
+    for sys_def in shipped_systems() + null_coordinate_systems(35, 30):
+        entropy = mp.compose_entropy(sys_def)
+        direct = mp.ScalarField(sys_def.n, entropy.value)
+        for _ in range(10):
+            x = rng.uniform(-2, 2, sys_def.n)
+            try:
+                chain = entropy.gradient_at(x)
+            except ex.EvaluationError:
+                with pytest.raises(ex.EvaluationError):
+                    direct.gradient_at(x)
+                continue
+            for a, b in zip(chain, direct.gradient_at(x)):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)), (sys_def.name, x.tolist())
+            compared += 1
+    assert compared > 200
 
 
 def test_zero_casimir_derivatives_emit_no_terms():

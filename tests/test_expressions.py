@@ -189,6 +189,42 @@ def test_derivatives_match_finite_differences():
     assert checked == 1000
 
 
+def to_sympy(sp, e):
+    """The tree as a sympy expression in x1, x2, ..., each literal as the exact rational of its float."""
+    if type(e) is ex.Num:
+        return sp.Rational(e.value)
+    if type(e) is ex.Var:
+        return sp.Symbol(f"x{e.index}")
+    if type(e) is ex.Neg:
+        return -to_sympy(sp, e.arg)
+    if type(e) is ex.Fun:
+        return getattr(sp, {"ln": "log"}.get(e.name, e.name))(to_sympy(sp, e.arg))
+    left, right = to_sympy(sp, e.left), to_sympy(sp, e.right)
+    return {ex.Add: sp.Add, ex.Sub: lambda a, b: a - b, ex.Mul: sp.Mul, ex.Div: lambda a, b: a / b, ex.Pow: sp.Pow}[type(e)](left, right)
+
+
+def test_derivatives_match_sympy():
+    # both derivatives evaluated in 40-digit (complex) arithmetic, so only a wrong rule, or a float
+    # literal differentiate folds, separates them; a tree undefined at the point has no derivative there
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(37)
+    compared = 0
+    for _ in range(100):
+        tree = random_tree(rng, 3, int(rng.integers(1, 5)))
+        point = {sp.Symbol(f"x{i + 1}"): sp.Rational(int(v), 64) for i, v in enumerate(2 * rng.integers(-64, 64, 3) + 1)}
+        value = to_sympy(sp, tree)
+        if not value.evalf(40, subs=point).is_finite:
+            continue
+        for index in (1, 2, 3):
+            ours = to_sympy(sp, ex.differentiate(tree, index)).evalf(40, subs=point)
+            theirs = sp.diff(value, sp.Symbol(f"x{index}")).evalf(40, subs=point)
+            assert ours.is_finite and theirs.is_finite, (ex.to_string(tree), index)
+            ours, theirs = complex(ours), complex(theirs)
+            assert abs(ours - theirs) <= 1e-9 * max(1.0, abs(ours), abs(theirs)), (ex.to_string(tree), index)
+            compared += 1
+    assert compared > 250
+
+
 # ---------------------------------------------------------------------------
 # printing round trip and compilation
 

@@ -153,7 +153,7 @@ def test_escape_guard_needs_radius():
 
 def test_adaptive_never_accepts_above_tolerance(rigid):
     field = mp.field_function(rigid, "conservative")
-    control = mp.StepControl(mode="adaptive", h=1e-2, abs_tol=1e-10, rel_tol=1e-10)
+    control = mp.StepControl(mode="adaptive", h=1e-2, abs_tol=1e-10, rel_tol=1e-10, max_steps=700)
     traj = mp.integrate(field, [1.0, 1.0, 1.0], (0.0, 5.0), control)
     assert traj.monitor.max_error_ratio is not None
     assert traj.monitor.max_error_ratio <= 1.0
@@ -163,7 +163,7 @@ def test_adaptive_never_accepts_above_tolerance(rigid):
 
 def test_adaptive_matches_fine_fixed_reference(rigid):
     field = mp.field_function(rigid, "conservative")
-    control = mp.StepControl(mode="adaptive", h=1e-2, abs_tol=1e-10, rel_tol=1e-10)
+    control = mp.StepControl(mode="adaptive", h=1e-2, abs_tol=1e-10, rel_tol=1e-10, max_steps=400)
     adaptive = mp.integrate(field, [1.0, 1.0, 1.0], (0.0, 2.0), control)
     reference = mp.integrate(field, [1.0, 1.0, 1.0], (0.0, 2.0), mp.StepControl(h=1e-4))
     assert adaptive.final_state == pytest.approx(reference.final_state, abs=1e-6)
@@ -172,7 +172,7 @@ def test_adaptive_matches_fine_fixed_reference(rigid):
 
 def test_adaptive_rejects_when_started_too_coarse(rigid):
     field = mp.field_function(rigid, "conservative")
-    control = mp.StepControl(mode="adaptive", h=1.0, abs_tol=1e-12, rel_tol=1e-12)
+    control = mp.StepControl(mode="adaptive", h=1.0, abs_tol=1e-12, rel_tol=1e-12, max_steps=450)
     traj = mp.integrate(field, [1.0, 1.0, 1.0], (0.0, 1.0), control)
     assert traj.monitor.steps_rejected > 0
 
@@ -202,7 +202,7 @@ def test_adaptive_reuses_the_last_stage_as_the_next_first(rigid):
         calls[0] += 1
         return field(x)
 
-    control = mp.StepControl(mode="adaptive", h=1.0, abs_tol=1e-12, rel_tol=1e-12)
+    control = mp.StepControl(mode="adaptive", h=1.0, abs_tol=1e-12, rel_tol=1e-12, max_steps=700)
     traj = mp.integrate(counted, [1.0, 0.5, 0.3], (0.0, 3.0), control)
     mon = traj.monitor
     assert mon.steps_rejected > 0
@@ -212,7 +212,7 @@ def test_adaptive_reuses_the_last_stage_as_the_next_first(rigid):
 def test_adaptive_error_falls_with_the_tolerance():
     errors = {}
     for tol in (1e-8, 1e-11):
-        control = mp.StepControl(mode="adaptive", h=0.1, abs_tol=tol, rel_tol=tol)
+        control = mp.StepControl(mode="adaptive", h=0.1, abs_tol=tol, rel_tol=tol, max_steps=1300)
         traj = mp.integrate(lambda x: -x, [1.0], (0.0, 5.0), control)
         errors[tol] = abs(traj.final_state[0] - math.exp(-5.0))
         assert traj.times[-1] == 5.0 and errors[tol] <= 100 * tol
@@ -237,7 +237,7 @@ def test_adaptive_non_finite_error_estimate_diverges():
 
 def test_adaptive_step_that_does_not_advance_t_diverges():
     t0 = 1e17  # doubles are 16 apart here, so t0 + h == t0 for any h < 8
-    control = mp.StepControl(mode="adaptive", h=1.0)
+    control = mp.StepControl(mode="adaptive", h=1.0, max_steps=20)
     with pytest.raises(mp.DivergenceError, match="no longer advances t=") as err:
         mp.integrate(lambda x: -x, [1.0], (t0, t0 + 1e6), control)
     partial = err.value.trajectory

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import metriplectic as mp
-from metriplectic import cli, stability
+from metriplectic import cli, geometry, stability
 from metriplectic import expressions as ex
 from test_compiled_path import E3_DOCUMENT
 
@@ -38,7 +38,8 @@ def analytic_hessian_eigs(p: mp.RigidBodyParams) -> np.ndarray:
 def augmented_energy(sys_def: mp.SystemDefinition) -> mp.ScalarField:
     """H + phi(C) with the summed gradient trees: the finite-difference Hessian's input."""
     h, entropy = sys_def.hamiltonian, mp.compose_entropy(sys_def)
-    return mp.ScalarField(sys_def.n, ex.add(h.value, entropy.value), list(map(ex.add, h.gradient, entropy.gradient)))
+    gradient = list(map(ex.add, h.gradient, entropy.gradient))
+    return geometry._chain_rule_field(sys_def.n, ex.add(h.value, entropy.value), gradient)
 
 
 def exact_hessian(field: mp.ScalarField, x) -> np.ndarray:

@@ -158,13 +158,18 @@ def test_no_casimir_document_accepted():
         (lambda d: d.update(casimirs="x1"), "casimirs"),
         (lambda d: d.update(name=7), "name"),
         (lambda d: d.update(verification={"nope": 1}), "nope"),
+        (lambda d: [d], "top level"),
+        (lambda d: d.update(hamiltonian=3), "hamiltonian: expected an expression string"),
+        (lambda d: d.update(verification=[1]), "verification: expected an object"),
+        (lambda d: d.update(verification={"box": [-1, 0, 1]}), r"verification.box: expected \[lo, hi\]"),
+        (lambda d: d.update(verification={"samples": "many"}), "verification: invalid literal"),
     ],
 )
 def test_schema_violations(mutate, match):
     doc = rigid_document()
-    mutate(doc)
+    replaced = mutate(doc)
     with pytest.raises(mp.ConfigError, match=match):
-        mp.load_system(doc)
+        mp.load_system(replaced if isinstance(replaced, list) else doc)  # a list replaces the document
 
 
 def test_overflowing_literal_rejected_at_load():
@@ -184,6 +189,12 @@ def test_verification_override_allows_inspection():
     sys_def = mp.load_system(doc, mp.VerificationPolicy(samples=0))
     pts = mp.sample_box(3, (-2, 2), 50, seed=44)
     assert not mp.verify_metriplectic_conditions(sys_def, pts, tol=1e-10).passed
+
+
+@pytest.mark.parametrize("block", [[1], {"samples": "many"}, {"bogus": 1}])
+def test_verification_block_is_checked_also_when_overridden(block):
+    with pytest.raises(mp.ConfigError, match="verification"):
+        mp.load_system(rigid_document(verification=block), mp.VerificationPolicy(samples=0))
 
 
 def test_load_system_file_bad_json(tmp_path):
