@@ -4,12 +4,12 @@ A system couples an antisymmetric state-dependent matrix Pi(x) with a
 Hamiltonian H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an
 entropy shaper phi: R^k -> R.  Casimir-ness cannot be proved from the
 expression trees, so it is certified by sampling: the residual
-``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points.  Every
-gradient is exact by construction: symbolic derivatives of the value,
-or the chain rule over them for grad phi(C); the finite-difference
-``stability.hessian`` is the package's only finite-difference code, a
-test cross-check.  Scalar fields and Poisson grids compile to kernels
-once, when built, and every evaluation and check here runs on them.
+``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points, with Pi of
+the whole sample from one stacked call.  Every gradient is exact by
+construction: symbolic derivatives of the value, or the chain rule over
+them for grad phi(C); ``stability.hessian`` is the package's only
+finite-difference code, a test cross-check.  Scalar fields and Poisson
+grids compile to kernels once, when built, and every check here runs on them.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class PoissonStructure:
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
         (self._kernel,) = _compile(n, "poisson", matrix=[e for row in self.entries for e in row])
-        self._mirror = [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]  # flat (ij, ji) pairs
+        self._mirror = np.array([(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]).T  # flat ij, ji
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "PoissonStructure":
@@ -142,21 +142,31 @@ class PoissonStructure:
 
 
 def poisson_matrix(structure: PoissonStructure, x: Sequence[float]) -> np.ndarray:
-    """Numeric Pi(x); raises :class:`AntisymmetryError` if Pi^T != -Pi.
+    """Numeric Pi(x), (n, n) at a point (n,) or (M, n, n) over a stack (M, n) of points.
 
-    Antisymmetry is checked on every evaluation (to 1e-12 absolute) because
-    the entries are state-dependent; an entry overflowing its mirror fails.
+    Raises :class:`AntisymmetryError` if Pi^T != -Pi (to 1e-12 absolute, an
+    entry overflowing its mirror fails) at a point, all rows checked at once;
+    a stack raises the first failure that calls row by row would raise.
     """
     n = structure.n
-    point = as_state(x, n)
-    values = structure._kernel(point)
-    defects = [abs(values[a] + values[b]) for a, b in structure._mirror]
-    if not all(d <= ANTISYMMETRY_TOL for d in defects):  # nan fails
+    xs = np.asarray(x, dtype=float)
+    points = xs.tolist() if xs.ndim == 2 and xs.shape[1] == n else [as_state(xs, n)]
+    try:
+        values = np.array([structure._kernel(p) for p in points], dtype=float).reshape(len(points), n * n)
+    except ex.EvaluationError:
+        for p in points if xs.ndim == 2 else ():  # row by row, an earlier row may fail antisymmetry first
+            poisson_matrix(structure, p)
+        raise
+    with np.errstate(all="ignore"):  # an overflow or a nan fails below, without a warning
+        defects = np.abs(values[:, structure._mirror].sum(axis=1))  # |Pi_ij + Pi_ji|
+    sound = np.all(defects <= ANTISYMMETRY_TOL, axis=1)  # nan fails
+    if not sound.all():
+        i = int(np.argmin(sound))
         raise AntisymmetryError(
-            f"Pi(x) + Pi(x)^T has max entry {np.max(defects):.3e} at x={point} "
+            f"Pi(x) + Pi(x)^T has max entry {np.max(defects[i]):.3e} at x={points[i]} "
             f"(tolerance {ANTISYMMETRY_TOL})"
         )
-    return np.array(values).reshape(n, n)
+    return values.reshape(xs.shape[:-1] + (n, n))
 
 
 class ScalarField:
@@ -234,9 +244,10 @@ def verify_casimir(
 ) -> list[CasimirReport]:
     """Certify ``Pi(x) grad C_l(x) = 0`` for every Casimir in one pass over ``points``.
 
-    Point by point, Pi (with its antisymmetry check, also when there are no
-    Casimirs), then each grad C_l, with the point attached to an evaluation
-    failure; then one stacked reduction of the sup-norm residuals.  One
+    One stacked :func:`poisson_matrix` (antisymmetry checked also with no
+    Casimirs), the grad C_l rows, one stacked reduction of the sup-norm
+    residuals.  On a failure the points rerun one by one, Pi then each grad
+    C_l, to raise the first failure, an evaluation one with its point.  One
     report per Casimir, in order: the worst residual (the first that is not
     finite, as an overflow gives), passing iff <= ``tol``, a finite number > 0.
     """
@@ -247,15 +258,22 @@ def verify_casimir(
         if c.arity != structure.n:
             raise ValueError(f"field arity {c.arity} does not match dimension {structure.n}")
     xs = np.asarray(points, dtype=float)
-    pis, grads = [], []
-    for p in xs.tolist():  # poisson_matrix checks each point's shape
+    if xs.ndim != 2 or xs.shape[1] != structure.n:
+        as_state(xs[0], structure.n)  # raises the first point's shape error
+    try:
+        pis = poisson_matrix(structure, xs)
+        grads = np.array([c._gradient(p) for p in xs.tolist() for c in casimirs], dtype=float)
+    except (ex.EvaluationError, AntisymmetryError):
+        pis = None
+    for p in xs.tolist() if pis is None else ():  # point by point, outside the handler
         try:
-            pis.append(poisson_matrix(structure, p))
-            grads.append([c._gradient(p) for c in casimirs])
+            poisson_matrix(structure, p)
+            for c in casimirs:
+                c._gradient(p)
         except ex.EvaluationError as exc:
             raise ex.EvaluationError(f"casimir residual evaluation failed at {p}: {exc}") from exc
     with np.errstate(all="ignore"):  # one matrix-vector product per point and Casimir, as Pi @ grad C_l rounds
-        products = np.array(pis)[:, None] @ np.reshape(grads, (len(xs), len(casimirs), structure.n, 1))
+        products = pis[:, None] @ grads.reshape(len(xs), len(casimirs), structure.n, 1)
         residuals = np.max(np.abs(products), axis=(2, 3))
     worst = [(_worst(column), column) for column in residuals.T]
     return [CasimirReport(float(column[i]), bool(column[i] <= tol), xs[i]) for i, column in worst]

@@ -162,6 +162,9 @@ def _verification_policy(doc: dict) -> VerificationPolicy:
     if unknown:
         raise ConfigError(f"verification: unknown keys {sorted(unknown)}")
     defaults = VerificationPolicy()
+    for key in ("samples", "seed"):
+        if isinstance(block.get(key), (bool, float)):  # int() would truncate 2.5 and take true as 1
+            raise ConfigError(f"verification.{key}: expected an integer, got {json.dumps(block[key])}")
     box = block.get("box", list(defaults.box))
     if not (isinstance(box, (list, tuple)) and len(box) == 2):
         raise ConfigError("verification.box: expected [lo, hi]")
@@ -202,7 +205,7 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
             raise ConfigError(f"missing required key {key!r}")
 
     n = document["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true is an int to isinstance
         raise ConfigError(f"dimension: expected a positive integer, got {n!r}")
 
     rows = document["poisson"]

@@ -91,6 +91,14 @@ def test_every_command_refuses_a_bad_verification_block(tmp_path, capsys, block)
         assert capsys.readouterr().err.startswith(f"error: cannot load {path}: verification")
 
 
+def test_a_dimension_of_json_true_is_a_load_error(tmp_path, capsys):
+    # True passed isinstance(n, int) and reached sample_box, which raised a TypeError traceback
+    path = write_doc(tmp_path, "true.json", {"dimension": True, "poisson": [["0"]], "hamiltonian": "x1^2"})
+    assert run(["verify", "--config", str(path)], tmp_path / "out") == 2
+    assert capsys.readouterr().err == (f"error: cannot load {path}: "
+                                       "dimension: expected a positive integer, got True\n")
+
+
 def test_verify_unknown_system(tmp_path):
     assert run(["verify", "--system", "nosuch"], tmp_path) == 2
 

@@ -21,7 +21,7 @@ def norm_casimir():
 
 
 def count_poisson_calls(monkeypatch) -> list:
-    """The points of every ``poisson_matrix`` call made from now on."""
+    """The argument of every ``poisson_matrix`` call made from now on."""
     calls, original = [], geometry.poisson_matrix
 
     def counted(structure, x):
@@ -157,15 +157,16 @@ def test_one_pass_reports_every_casimir_in_declared_order(monkeypatch):
     singles = [mp.verify_casimir(rigid_poisson(), [field], pts, tol=1e-12)[0] for field in fields]
     calls = count_poisson_calls(monkeypatch)
     reports = mp.verify_casimir(rigid_poisson(), fields, pts, tol=1e-12)
-    assert len(calls) == len(pts)
+    assert len(calls) == 1 and np.array_equal(calls[0], pts)  # one stacked call holds every point, in order
     assert reports == singles and [r.passed for r in reports] == [True, False, True]
     assert all(np.array_equal(r.worst_point, single.worst_point) for r, single in zip(reports, singles))
 
 
 def test_no_casimirs_still_checks_antisymmetry_at_every_point(monkeypatch):
     calls = count_poisson_calls(monkeypatch)
-    assert mp.verify_casimir(rigid_poisson(), [], mp.sample_box(3, (-2, 2), 7, seed=6), tol=1e-12) == []
-    assert len(calls) == 7
+    pts = mp.sample_box(3, (-2, 2), 7, seed=6)
+    assert mp.verify_casimir(rigid_poisson(), [], pts, tol=1e-12) == []
+    assert len(calls) == 1 and np.array_equal(calls[0], pts)
     bad = mp.PoissonStructure.from_strings([["0", "x1"], ["x1", "0"]])
     with pytest.raises(mp.AntisymmetryError):
         mp.verify_casimir(bad, [], [[0.0, 0.0], [1.0, 0.0]], tol=1e-12)
@@ -343,8 +344,11 @@ def test_verification_policy_validation():
 ], ids=["e3", "no-casimirs"])
 def test_a_load_evaluates_pi_once_per_sample_point(monkeypatch, build, samples):
     calls = count_poisson_calls(monkeypatch)
-    build(mp.VerificationPolicy(samples=samples))
-    assert len(calls) == samples
+    policy = mp.VerificationPolicy(samples=samples)
+    build(policy)
+    # one stacked call, whose rows are the whole sample in order
+    sample = mp.sample_box(calls[0].shape[1], policy.box, samples, policy.seed)
+    assert len(calls) == 1 and np.array_equal(calls[0], sample)
 
 
 def test_a_load_raises_the_first_evaluation_error_of_any_casimir():

@@ -163,6 +163,14 @@ def test_no_casimir_document_accepted():
         (lambda d: d.update(verification=[1]), "verification: expected an object"),
         (lambda d: d.update(verification={"box": [-1, 0, 1]}), r"verification.box: expected \[lo, hi\]"),
         (lambda d: d.update(verification={"samples": "many"}), "verification: invalid literal"),
+        # bool is a subclass of int, and int() truncates a float: each was loaded as some other integer
+        (lambda d: d.update(dimension=True), "dimension: expected a positive integer, got True"),
+        (lambda d: d.update(verification={"samples": 2.5}), r"verification\.samples: expected an integer, got 2\.5"),
+        (lambda d: d.update(verification={"samples": True}), r"verification\.samples: expected an integer, got true"),
+        (lambda d: d.update(verification={"samples": 1000.0}), r"verification\.samples: .* got 1000\.0"),
+        (lambda d: d.update(verification={"samples": 2.5, "seed": True}), r"verification\.samples"),
+        (lambda d: d.update(verification={"seed": True}), r"verification\.seed: expected an integer, got true"),
+        (lambda d: d.update(verification={"seed": -0.5}), r"verification\.seed: expected an integer, got -0\.5"),
     ],
 )
 def test_schema_violations(mutate, match):
@@ -170,6 +178,19 @@ def test_schema_violations(mutate, match):
     replaced = mutate(doc)
     with pytest.raises(mp.ConfigError, match=match):
         mp.load_system(replaced if isinstance(replaced, list) else doc)  # a list replaces the document
+
+
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + [CONFIG_DIR.parent / "perfbench" / "configs" / "e3.json"]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_every_shipped_config_loads_with_its_own_verification_block(path):
+    doc = json.loads(path.read_text())
+    sys_def = mp.load_system_file(path)
+    assert sys_def.n == doc["dimension"]
+    block = doc.get("verification", {})
+    policy = (sys_def.verification.samples, sys_def.verification.seed)
+    assert policy == (block.get("samples", 1000), block.get("seed", 0))
 
 
 def test_overflowing_literal_rejected_at_load():

@@ -1,6 +1,8 @@
-"""Compare the package's CLI outputs between the working tree and another revision.
+"""Compare the package's CLI outputs and benchmark runs between the working tree and another revision.
 
     python3 tools/compare.py identity --parent <rev>
+    python3 tools/compare.py pairs --parent <rev> --workloads certify,simulate,ensemble --pairs 10 \
+        --seconds 30 --out BENCH_<n>.json
 
 ``identity`` runs the identity runs in the working tree and in a
 ``git archive`` copy of ``<rev>``, compares what each run leaves behind,
@@ -19,6 +21,19 @@ less ``argv`` and ``outputs`` (paths), stdout, stderr and the exit code.
 Each tree runs its runs in one interpreter of its own, calling
 ``cli.main`` in-process; warnings are reset before each run, so a run
 warns as it would in a fresh interpreter.
+
+``pairs`` runs ``perfbench/run.py`` one run at a time on a ``git archive``
+of ``<rev>`` (the parent) and on one of the working tree's files as
+``git add -A`` would stage them (the change).  Pair p runs seed p, the
+parent first on odd seeds.  A
+run that dies of the set-up probe race (``could not convert string to
+float: ''``) is rerun once, and both runs are recorded.  The JSON written
+to ``--out`` (after every run, so a cut-short session leaves its pairs)
+holds ``parent``, ``change``, ``command``, ``machine``, ``note``,
+``medians`` and ``pairs``; each median gives both sides' value and
+quartiles over their completed runs, ``change_vs_parent``, the
+BENCHMARK.json ``bound``, ``worse_by``, ``within_bound`` and in how many
+complete pairs the change was strictly better.
 """
 
 from __future__ import annotations
@@ -34,6 +49,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,12 +168,121 @@ def archive(rev: str, dest: Path) -> Path:
     return dest
 
 
+PROBE_RACE = "could not convert string to float: ''"
+MACHINE_KEYS = ("python", "numpy", "platform", "nproc", "affinity")
+
+
+def git(*args: str, env=None) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True, env=env).stdout
+
+
+def working_tree() -> str:
+    """A git tree of the working tree's files as ``git add -A`` would stage them; the index is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git("add", "-A", env=env)
+        return git("write-tree", env=env).strip()
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One ``perfbench/run.py`` run in ``tree``: its record for ``pairs``, and its machine record or None."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", f"{seconds:g}"], cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    record = next((json.loads(line[len("# record "):]) for line in lines if line.startswith("# record ")), None)
+    if proc.returncode != 0 or not lines or record is None:
+        return {"exit": proc.returncode, "correct": None, "attempted": None, "failed": None, "metrics": None,
+                "stderr_tail": proc.stderr.strip().splitlines()[-1:]}, None
+    result = json.loads(lines[-1])
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return ({"exit": 0, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
+             "metrics": metrics}, {key: record[key] for key in MACHINE_KEYS})
+
+
+def medians(pairs: dict, spec: dict) -> dict:
+    """Per workload with completed runs on both sides, per end-to-end metric of ``spec``: the comparison."""
+    table = {}
+    for workload, runs in pairs.items():
+        final = {(run["pair"], run["side"]): run["metrics"] for run in runs if run["metrics"]}  # last attempt wins
+        sides = {side: [m for (_, s), m in sorted(final.items()) if s == side] for side in ("parent", "change")}
+        complete = sorted(p for p, s in final if s == "parent" and (p, "change") in final)
+        if not (sides["parent"] and sides["change"]):
+            continue
+        table[workload] = {}
+        for metric in spec["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            values = {side: [m[name] for m in sides[side]] for side in sides}
+            parent, change = (float(np.median(values[side])) for side in ("parent", "change"))
+            relative = (change - parent) / parent
+            better = sum(sign * (final[p, "change"][name] - final[p, "parent"][name]) < 0 for p in complete)
+            table[workload][name] = {
+                "parent": parent,
+                "change": change,
+                "change_vs_parent": relative,
+                "parent_quartiles": np.percentile(values["parent"], [25, 75]).tolist(),
+                "change_quartiles": np.percentile(values["change"], [25, 75]).tolist(),
+                "bound": metric["bound"],
+                "worse_by": sign * relative,
+                "within_bound": sign * relative <= metric["bound"],
+                "change_better_in_pairs": f"{better} of {len(complete)}",
+            }
+    return table
+
+
+def note(result: dict, args) -> str:
+    runs = [run for workload_runs in result["pairs"].values() for run in workload_runs]
+    outside = [f"{w} {name} worse by {m['worse_by']:+.1%} (bound {m['bound']:.0%})"
+               for w, table in result["medians"].items() for name, m in table.items() if not m["within_bound"]]
+    return (f"{args.pairs} alternating parent/change pairs of {args.seconds:g} s untraced runs per workload "
+            f"(seeds 1-{args.pairs}, parent first on odd seeds), one run at a time, each side from its own git "
+            f"archive. {sum(run['exit'] == 0 for run in runs)} of {len(runs)} runs exited 0; "
+            f"{sum(run['attempt'] == 2 for run in runs)} of the runs are reruns after the set-up probe race. "
+            + (f"Outside their BENCHMARK.json bound: {'; '.join(outside)}." if outside
+               else "Every end-to-end median is inside its BENCHMARK.json bound."))
+
+
+def pairs(args) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    change, head = working_tree(), git("rev-parse", "--short", "HEAD").strip()
+    result = {"parent": args.parent, "change": f"working tree {change[:12]} (git tree of the files on {head})",
+              "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g}",
+              "machine": None, "note": "", "medians": {}, "pairs": {}}
+    scratch = Path(tempfile.mkdtemp(prefix="compare-"))
+    try:
+        trees = {"parent": archive(args.parent, scratch / "parent"), "change": archive(change, scratch / "change")}
+        for workload in args.workloads.split(","):
+            runs = result["pairs"][workload] = []
+            for pair in range(1, args.pairs + 1):
+                for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+                    for attempt in (1, 2):
+                        run, machine = bench_run(trees[side], workload, pair, args.seconds)
+                        runs.append({"pair": pair, "attempt": attempt, "seed": pair, "side": side, **run})
+                        result["machine"] = result["machine"] or machine
+                        print(f"{workload} pair {pair} {side} attempt {attempt}: exit {run['exit']}", file=sys.stderr)
+                        if not any(PROBE_RACE in line for line in run.get("stderr_tail", [])):
+                            break
+                    result["medians"] = medians(result["pairs"], spec)
+                    result["note"] = note(result, args)
+                    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    finally:
+        shutil.rmtree(scratch)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     identity = commands.add_parser("identity", help="compare the identity runs' outputs with another revision")
     identity.add_argument("--parent", required=True, help="git revision to compare the working tree with")
+    bench = commands.add_parser("pairs", help="alternating perfbench runs of another revision and the working tree")
+    bench.add_argument("--parent", required=True, help="git revision to compare the working tree with")
+    bench.add_argument("--workloads", required=True, help="comma-separated perfbench workloads")
+    bench.add_argument("--pairs", type=int, required=True, help="pairs per workload; pair p runs seed p")
+    bench.add_argument("--seconds", type=float, required=True, help="--seconds of every run")
+    bench.add_argument("--out", required=True, help="JSON file to write, rewritten after every run")
     args = parser.parse_args(argv)
+    if args.command == "pairs":
+        return pairs(args)
 
     runs = identity_runs()
     scratch = Path(tempfile.mkdtemp(prefix="compare-"))
