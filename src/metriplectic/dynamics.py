@@ -19,7 +19,10 @@ system's three kernels (conservative field, full field, diagnostics
 record) from the trees of Pi, H and :func:`geometry.compose_entropy` (so
 they run its exact chain-rule u), with each repeated subtree computed
 once.  A kernel is emitted and compiled the first time it is called
-for, so a run builds only the kernels it calls.  The
+for, so a run builds only the kernels it calls.  Its body is kept for
+:func:`integrators.integrate` to inline, and so is a field's tail: the
+field from the diagnostics' g, u, g.u and |g|^2, which fixed-mode stage 1
+runs after them.  The
 equilibrium analysis reads grad H and grad phi(C) from the compiled
 scalar fields of :mod:`geometry`.
 """
@@ -65,16 +68,27 @@ class EquilibriumConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Code generation
 
-def _generate(sys: SystemDefinition, kind: str) -> list:
-    """Body of the ``conservative``, ``metriplectic`` or ``diagnostics`` kernel."""
+def _generate(sys: SystemDefinition, kind: str) -> Optional[list]:
+    """Body of the ``conservative``, ``metriplectic`` or ``diagnostics`` kernel, or of a field's ``<kind>-tail``:
+    the field from the diagnostics body's locals g1..gn, u1..un, hu and hh (None without Casimirs)."""
     n, h = sys.n, sys.hamiltonian
     names = [f"x{i + 1}" for i in range(n)]
     grad_h = [(f"g{i + 1}", g) for i, g in enumerate(h.gradient)]
     dot = lambda a, b: functools.reduce(ex.Add, map(ex.Mul, a, b))  # a1*b1 + a2*b2 + ..., in order
-    nonzero = [[(p, g) for p, g in zip(row, h.gradient) if p != ex.Num(0.0)] for row in sys.poisson.entries]
-    xi_pi = [dot(*zip(*pairs)) if pairs else ex.Num(0.0) for pairs in nonzero]  # Pi grad H over nonzero Pi_ij
-    if kind == "conservative" or (sys.k == 0 and kind == "metriplectic"):
-        return ex.emit(grad_h + [(None, xi) for xi in xi_pi], names)
+    conservative = kind.startswith("conservative") or sys.k == 0
+
+    def field(g, u, hu, hh):  # Pi grad H over nonzero Pi_ij, plus (g . u) g - (g . g) u for the full field
+        nonzero = [[(p, g_j) for p, g_j in zip(row, g) if p != ex.Num(0.0)] for row in sys.poisson.entries]
+        xi_pi = [dot(*zip(*pairs)) if pairs else ex.Num(0.0) for pairs in nonzero]
+        return [(None, xi if conservative else ex.Sub(ex.Add(xi, ex.Mul(hu, g_i)), ex.Mul(hh, u_i)))
+                for xi, g_i, u_i in zip(xi_pi, g, u or g)]
+
+    if kind.endswith("-tail"):
+        leaf = [ex.Var(i) for i in range(n + 1, 3 * n + 3)]  # after x1..xn: g1..gn, u1..un, hu, hh
+        local = [f"{p}{i + 1}" for p in "gu" for i in range(n)] + ["hu", "hh"]
+        return None if sys.k == 0 else ex.emit(field(leaf[:n], leaf[n:-2], *leaf[-2:]), names + local)
+    if conservative and kind != "diagnostics":
+        return ex.emit(grad_h + field(h.gradient, None, None, None), names)
     if sys.k == 0:
         return ex.emit([("hval", h.value)], names) + ["return (hval, 0.0, 0.0, 0.0)"]
     entropy = compose_entropy(sys)
@@ -91,17 +105,17 @@ def _generate(sys: SystemDefinition, kind: str) -> list:
             "defect = 0.0 if defect < 0.0 else 1.0 if defect > 1.0 else defect",
             "return (hval, phival, sdot, defect)",
         ]
-    xi = [(None, ex.Sub(ex.Add(xi_pi[i], ex.Mul(hu, g[i])), ex.Mul(hh, u[i]))) for i in range(n)]
-    return ex.emit(grad_h + grad_phi + xi, names)
+    return ex.emit(grad_h + grad_phi + field(g, u, hu, hh), names)
 
 
 def _compiled(sys: SystemDefinition, kind: str) -> Callable:
-    """The ``kind`` kernel of ``sys``, emitted and compiled on its first use."""
+    """The ``kind`` kernel of ``sys``, emitted and compiled on its first use; its body is kept too."""
     kernel = sys._compiled.get(kind)
     if kernel is None:
         label = f"{sys.name or 'system'}-{kind}"
         env = {**ex.SOURCE_ENV, "dependence": linear_dependence}  # the diagnostics kernel's rare branch
-        kernel = sys._compiled[kind] = ex.compile_kernels(sys.n, {kind: _generate(sys, kind)}, label, env)[kind]
+        body = sys._compiled["body", kind] = _generate(sys, kind)
+        kernel = sys._compiled[kind] = ex.compile_kernels(sys.n, {kind: body}, label, env)[kind]
     return kernel
 
 
@@ -109,12 +123,14 @@ def field_function(sys: SystemDefinition, kind: str) -> Callable[[np.ndarray], n
     """Fast state -> derivative callable for ``kind`` in {conservative, metriplectic}."""
     if kind not in ("conservative", "metriplectic"):
         raise ValueError(f"unknown field kind {kind!r}")
-    return KernelFunction(sys.n, _compiled(sys, kind), np.array)
+    if ("body", kind + "-tail") not in sys._compiled:
+        sys._compiled["body", kind + "-tail"] = _generate(sys, kind + "-tail")
+    return KernelFunction(sys.n, _compiled(sys, kind), np.array, (kind, sys._compiled))
 
 
 def diagnostics_function(sys: SystemDefinition) -> Callable[[np.ndarray], tuple]:
     """Per-state record ``(H, phi(C), entropy production, dependence defect)``."""
-    return KernelFunction(sys.n, _compiled(sys, "diagnostics"), tuple)
+    return KernelFunction(sys.n, _compiled(sys, "diagnostics"), tuple, ("diagnostics", sys._compiled))
 
 
 def conservative_field(sys: SystemDefinition, x: Sequence[float]) -> np.ndarray:

@@ -467,6 +467,13 @@ def to_string(e: Expression) -> str:
 _SOURCE_FUNCTIONS = {"sin": "sin", "cos": "cos", "exp": "_exp", "ln": "_ln", "sqrt": "_sqrt"}
 _BINARY_SOURCE = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
+def kernel_error(exc: Exception, xs: list) -> EvaluationError:
+    """The :class:`EvaluationError` a kernel raises for the math error ``exc`` at input ``xs``."""
+    err = EvaluationError(f"{exc.args[-1]} at x={xs}")
+    err.__cause__ = exc
+    return err
+
+
 SOURCE_ENV: dict[str, Callable] = {
     "sin": math.sin,
     "cos": math.cos,
@@ -475,6 +482,8 @@ SOURCE_ENV: dict[str, Callable] = {
     "_sqrt": math.sqrt,
     "_pow": _power,
     "EvaluationError": EvaluationError,
+    "KERNEL_ERRORS": (EvaluationError, ZeroDivisionError, ValueError, OverflowError),
+    "kernel_error": kernel_error,
 }
 
 
@@ -569,13 +578,12 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str,
     A body is a list of statement lines, ending in a ``return``, over the
     locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
     run with ``env`` (:data:`SOURCE_ENV` or a superset) in scope, and each maps a math error raised
-    inside it to :class:`EvaluationError` naming its text (no errno) and ``xs``.
+    inside it (one of ``KERNEL_ERRORS``) to the :func:`kernel_error` naming its text (no errno) and ``xs``.
     """
     unpack = "".join(f"        x{i + 1} = xs[{i}]\n" for i in range(arity))
     source = "".join(
         f"def {name}(xs):\n    try:\n{unpack}" + "".join(f"        {line}\n" for line in body)
-        + "    except (EvaluationError, ZeroDivisionError, ValueError, OverflowError) as exc:\n"
-        + '        raise EvaluationError(f"{exc.args[-1]} at x={xs}") from exc\n'
+        + "    except KERNEL_ERRORS as exc:\n        raise kernel_error(exc, xs) from exc\n"
         for name, body in bodies.items()
     )
     namespace = exec_source(source, label, env, next(iter(bodies)))

@@ -62,8 +62,8 @@ class CasimirError(ValueError):
 class VerificationPolicy:
     """Sampling plan used to certify structure conditions numerically.
 
-    The box must be finite and ordered, the tolerance a finite number > 0
-    and the sample count >= 0.
+    The box must be finite and ordered, the tolerance a finite number > 0,
+    the sample count an integer >= 0 and the seed an integer (not a bool).
     """
 
     box: tuple[float, float] = (-2.0, 2.0)
@@ -73,6 +73,9 @@ class VerificationPolicy:
 
     def __post_init__(self):
         _check_positive(self.box[1] - self.box[0], f"width of sampling box {self.box}")  # finite and ordered
+        for name, value in (("samples", self.samples), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 0:
             raise ValueError("sample count must be >= 0")
         _check_positive(self.tolerance, "tolerance")
@@ -101,14 +104,14 @@ def as_state(x: Sequence[float], n: int) -> list:
 class KernelFunction:
     """``x -> wrap(kernel(as_state(x, n)))`` for a list-in/tuple-out kernel.
 
-    :func:`integrators.integrate` recognises this type and calls ``kernel``
-    on its float lists directly.
+    :func:`integrators.integrate` recognises this type and calls ``kernel`` on its float lists directly,
+    or inlines the ``body`` of a :mod:`dynamics` kernel: ``(kind, the system's kernel table)``.
     """
 
-    __slots__ = ("n", "kernel", "wrap")
+    __slots__ = ("n", "kernel", "wrap", "body")
 
-    def __init__(self, n: int, kernel: Callable, wrap: Callable):
-        self.n, self.kernel, self.wrap = n, kernel, wrap
+    def __init__(self, n: int, kernel: Callable, wrap: Callable, body: Optional[tuple] = None):
+        self.n, self.kernel, self.wrap, self.body = n, kernel, wrap, body
 
     def __call__(self, x):
         return self.wrap(self.kernel(as_state(x, self.n)))
@@ -325,7 +328,7 @@ class SystemDefinition:
         self.name = name
         self.verification = verification
         self._entropy_field: Optional[ScalarField] = None
-        self._compiled: dict = {}  # kind -> dynamics kernel, filled by dynamics._compiled on first use
+        self._compiled: dict = {}  # kind -> dynamics kernel (and its body, tail and loops), filled by dynamics
 
         if verification.samples > 0:
             pts = sample_box(n, verification.box, verification.samples, verification.seed)

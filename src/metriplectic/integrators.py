@@ -12,17 +12,21 @@ drift and entropy increases (by the rule of :data:`MONOTONE_SLACK`) are
 tracked per step even if the trajectory itself is stored at a coarser
 stride.  Entropy increases are reported, never corrected.
 
-Both modes run in a loop emitted from one template per state dimension
-n, over float locals.  It calls the system's compiled kernels directly
-when ``field`` and ``diagnostics`` come from :mod:`dynamics`, and any
-other callable through a thin array adapter; either way it computes the
-bits that :func:`rk4_step` computes on arrays in fixed mode.
+Both modes run in a loop emitted from one template over float locals.
+For a field from :mod:`dynamics` the loop runs its kernel's body inline at
+every stage, and the diagnostics body when it comes from the same system;
+in fixed mode stage 1 then reuses the diagnostics' g, u, g.u and |g|^2.
+That loop is compiled once per system and mode.  Any other callable is
+called from the loop of its dimension n, through a thin array adapter
+unless it is a kernel.  Every path computes the bits that :func:`rk4_step`
+computes on arrays in fixed mode.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -187,12 +191,15 @@ def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndar
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _loop_source(n: int, adaptive: bool) -> str:
+def _loop_source(n: int, adaptive: bool, field: Optional[Sequence[str]] = None,
+                 diagnostics: Optional[Sequence[str]] = None, tail: Optional[Sequence[str]] = None) -> str:
     """Source of ``run``: the fixed RK4 or the adaptive Dormand-Prince loop over float locals.
 
-    The state is unrolled into ``x1..xn``; ``F`` and ``D`` take a list of n
-    floats and return a tuple.  The fixed step is :func:`rk4_step`
-    operation for operation, and the checks and monitors are those
+    The state is unrolled into ``x1..xn``; ``F`` and ``D`` take a list of n floats and return
+    a tuple, unless kernel bodies ``field`` and ``diagnostics`` run inline (locals renamed
+    ``_<name>``, a math error raised as the kernel raises it), and in fixed mode ``tail``, over
+    the diagnostics' locals, is stage 1 at the state they have just scored.  The fixed step is
+    :func:`rk4_step` operation for operation, and the checks and monitors are those
     documented on :func:`integrate`, written as float comparisons.
     ``run`` returns ``(status, message, cause, *MonitorSummary fields)``.
     """
@@ -201,13 +208,31 @@ def _loop_source(n: int, adaptive: bool) -> str:
     lst = lambda p: f"[{vec(p)}]"
     sup = lambda terms: terms[0] if n == 1 else f"max({', '.join(terms)})"
     mon = "acc, rej, e0, md, s0, cnt, mi, mer"
+    xs = [f"x{i}" for i in ix]
+    local = set(xs) | {name for body in (field, diagnostics, tail) if body
+                       for line in body for name in re.findall(r"(\w+) = ", line)}
+    rename = lambda line: re.sub(r"\b[A-Za-z_]\w*", lambda m: "_" + m[0] if m[0] in local else m[0], line)
+
+    def evaluate(body, call, args, out):  # out = the kernel at args: its body inline, or a call
+        if body is None:
+            return [f"{out} = {call}([{', '.join(args)}])"]
+        return [f"_x{i} = {a}" for i, a in zip(ix, args)] + [rename(line) for line in body[:-1]] + [
+            f"{out} = {rename(body[-1]).removeprefix('return ')}"]
+
+    def guard(lines, body, fail):  # lines under one handler: the kernel's EvaluationError exc ends the run by fail
+        caught = f"KERNEL_ERRORS as exc: exc = kernel_error(exc, {lst('_x')});" if body else "EvaluationError as exc:"
+        return ["try:"] + ["    " + line for line in lines] + [f"except {caught} {fail}"]
+
+    def at(s, k, args):  # stage s: k1..kn is the field at args
+        first, *rest = evaluate(tail if s == 1 and tail else field, "F", args, vec(k))
+        return [f"stage = {s}; {first}"] + rest
 
     def calls(lines, t):  # the stage lines under one handler: an EvaluationError ends the run at time t
-        return ["try:"] + ["    " + line for line in lines] + [
-            "except EvaluationError as exc:",
-            f"    err = FieldEvaluationError(stage, {t}, exc); err.__cause__ = exc",
-            f"    return 'diverged', str(err), err, {mon}",
-        ]
+        return guard(lines, field, f"err = FieldEvaluationError(stage, {t}, exc); err.__cause__ = exc;"
+                                   f" return 'diverged', str(err), err, {mon}")
+
+    def diagnose(fail):  # rec = D(x), or fail with the EvaluationError exc
+        return ["    " + line for line in guard(evaluate(diagnostics, "D", xs, "rec"), diagnostics, fail)]
 
     def accept(last):  # the accepted state x at time tn
         return [
@@ -215,9 +240,7 @@ def _loop_source(n: int, adaptive: bool) -> str:
             f"    return 'diverged', bad_state({lst('x')}, tn, bound), None, {mon}",
             "acc += 1",
             "if D is not None:",
-            f"    try: rec = D({lst('x')})",
-            "    except EvaluationError as exc:"
-            f" return 'diverged', f'diagnostics evaluation failed at t={{tn!r}}: {{exc}}', exc, {mon}",
+        ] + diagnose(f"return 'diverged', f'diagnostics evaluation failed at t={{tn!r}}: {{exc}}', exc, {mon}") + [
             "    dr = abs(rec[0] - e0); inc = rec[1] - sl",
             "    if dr > md: md = dr",
             f"    if inc > {MONOTONE_SLACK!r} and inc > {MONOTONE_SLACK!r} * (1.0 + abs(sl)): cnt += 1",
@@ -237,34 +260,32 @@ def _loop_source(n: int, adaptive: bool) -> str:
                "acc = rej = 0; e0 = md = s0 = cnt = mi = mer = None",
                f"B = bound if bound <= {_FLOAT_MAX!r} else {_FLOAT_MAX!r}  # so abs(x) <= B fails on inf and nan",
                "if D is not None:",
-               f"    rec = D({lst('x')}); e0 = rec[0]; s0 = sl = rec[1]; md = mi = 0.0; cnt = 0; R.extend(rec)",
+           ] + diagnose("raise exc") + [
+               "    e0 = rec[0]; s0 = sl = rec[1]; md = mi = 0.0; cnt = 0; R.extend(rec)",
            ], 1)
     if not adaptive:  # x = rk4_step(F, x, t, hs), operation for operation
-        axpy = lambda k, a: "[" + ", ".join(f"x{i} + {a}*{k}{i}" for i in ix) + "]"
+        axpy = lambda k, a: [f"x{i} + {a}*{k}{i}" for i in ix]
         body = indent([
             "for i in range(1, n_steps + 1):",
             "    tn = t0 + i * h if i < n_steps else t1",
             "    hs = tn - (t0 + (i - 1) * h) if i == n_steps else h",
-        ], 1) + indent(["if hs <= 0: raise ValueError('step size must be > 0')", "p = 0.5*hs"] + calls([
-            f"stage = 1; {vec('a')} = F({lst('x')})",
-            f"stage = 2; {vec('b')} = F({axpy('a', 'p')})",
-            f"stage = 3; {vec('c')} = F({axpy('b', 'p')})",
-            f"stage = 4; {vec('d')} = F({axpy('c', 'hs')})",
-        ], "t0 + (i - 1) * h") + ["w = hs/6.0"] + [f"x{i} = x{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
+        ], 1) + indent(["if hs <= 0: raise ValueError('step size must be > 0')", "p = 0.5*hs"] + calls(
+            at(1, "a", xs) + at(2, "b", axpy("a", "p")) + at(3, "c", axpy("b", "p")) + at(4, "d", axpy("c", "hs")),
+            "t0 + (i - 1) * h") + ["w = hs/6.0"] + [f"x{i} = x{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in ix]
             + accept("i == n_steps"), 2)
     else:  # k1..k7 are a..g, stage s is F(x + h*sum_j A[s-2][j]*k_j), and k7 = F(y) is the next k1 once y is accepted
         dp = lambda row, i: " + ".join(f"{w!r}*{'abcdefg'[j]}{i}" for j, w in enumerate(row) if w)
-        stages = [f"stage = {s}; {vec('abcdefg'[s - 1])} = F([{', '.join(f'x{i} + h*({dp(row, i)})' for i in ix)}])"
-                  for s, row in enumerate(_DP_A[:-1], 2)]
+        stages = [line for s, row in enumerate(_DP_A[:-1], 2)
+                  for line in at(s, "abcdefg"[s - 1], [f"x{i} + h*({dp(row, i)})" for i in ix])]
         body = indent([
             "t = t0; h = min(h, t1 - t0); t_end = t1 - 1e-12 * max(1.0, abs(t1)); mer = 0.0",
-        ] + calls([f"stage = 1; {vec('a')} = F({lst('x')})"], "t") + [
+        ] + calls(at(1, "a", xs), "t") + [
             "while t < t_end or acc == 0:  # a span shorter than the end slack still takes a step",
             "    h = min(h, t1 - t)",
             "    if acc + rej >= max_steps:",
             "        raise IntegrationError(f'step budget max_steps={max_steps} exhausted')",
-        ], 1) + indent(calls(stages + [f"y{i} = x{i} + h*({dp(_DP_A[-1], i)})" for i in ix] + [
-            f"stage = 7; {vec('g')} = F({lst('y')})"], "t") + [f"r{i} = h*({dp(_DP_E, i)})" for i in ix] + [
+        ], 1) + indent(calls(stages + [f"y{i} = x{i} + h*({dp(_DP_A[-1], i)})" for i in ix]
+                             + at(7, "g", [f"y{i}" for i in ix]), "t") + [f"r{i} = h*({dp(_DP_E, i)})" for i in ix] + [
             f"est = {sup([f'abs(r{i})' for i in ix])}",
             "if " + " + ".join(f"r{i}*0.0" for i in ix) + " != 0.0:  # an inf or nan component",
             f"    return 'diverged', f'non-finite error estimate at t={{t!r}}', None, {mon}",
@@ -294,12 +315,28 @@ def _bad_state(xs: list, t: float, bound: float) -> str:
     return f"state exceeded divergence bound {bound:g} at t={t!r}"
 
 
+_LOOP_ENV = {"EvaluationError": EvaluationError, "FieldEvaluationError": FieldEvaluationError,
+             "IntegrationError": IntegrationError, "bad_state": _bad_state}
+
+
 @functools.lru_cache(maxsize=None)
 def _loop(n: int, adaptive: bool) -> Callable:
-    env = {"EvaluationError": EvaluationError, "FieldEvaluationError": FieldEvaluationError,
-           "IntegrationError": IntegrationError, "bad_state": _bad_state}
     label = f"rk4-{'adaptive' if adaptive else 'fixed'}-n{n}"
-    return exec_source(_loop_source(n, adaptive), label, env, "run")["run"]
+    return exec_source(_loop_source(n, adaptive), label, _LOOP_ENV, "run")["run"]
+
+
+def _inlined_loop(field: KernelFunction, diagnostics: Optional[Callable], adaptive: bool) -> Callable:
+    """The loop running ``field``'s body inline, and ``diagnostics``' when it is a kernel of the
+    same system, fused in fixed mode; compiled once and kept in that system's kernel table."""
+    kind, table = field.body
+    same = _kernel(diagnostics, field.n) and diagnostics.body and diagnostics.body[1] is table
+    key = ("loop", kind, diagnostics.body[0] if same else None, adaptive)
+    if key not in table:
+        tail = table["body", kind + "-tail"] if key[2] == "diagnostics" and not adaptive else None
+        source = _loop_source(field.n, adaptive, table["body", kind], table.get(("body", key[2])), tail)
+        env = {**field.kernel.__globals__, **_LOOP_ENV}  # the environment all of a system's kernels share
+        table[key] = exec_source(source, f"rk4-{'adaptive' if adaptive else 'fixed'}-{kind}", env, "run")["run"]
+    return table[key]
 
 
 def _kernel(fn: Callable, n: int) -> Optional[Callable]:
@@ -372,8 +409,10 @@ def integrate(
 
     F = _kernel(field, n) or adapter
     D = None if diagnostics is None else _kernel(diagnostics, n) or (lambda xs: diagnostics(np.array(xs)))
+    adaptive = control.mode == "adaptive"
+    run = _inlined_loop(field, diagnostics, adaptive) if F is not adapter and field.body else _loop(n, adaptive)
     times, states, records = [], [], []
-    status, message, cause, *counts = _loop(n, control.mode == "adaptive")(
+    status, message, cause, *counts = run(
         F, D, times, states, records, x.tolist(), t0, t1, control.h, stride, divergence_bound,
         escaped, n_steps, control.abs_tol, control.rel_tol, control.max_steps,
     )

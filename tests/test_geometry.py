@@ -338,6 +338,14 @@ def test_verification_policy_validation():
             mp.VerificationPolicy(tolerance=tol)
 
 
+@pytest.mark.parametrize("field, value", [("samples", 2.5), ("samples", True), ("seed", 1.5), ("seed", True)])
+def test_verification_policy_refuses_a_sample_count_or_seed_that_is_not_an_integer(field, value):
+    # before, 2.5 and True samples died in numpy, a 1.5 seed in SeedSequence, and seed True sampled with seed 1
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        mp.VerificationPolicy(**{field: value})
+    assert mp.VerificationPolicy(**{field: np.int64(3)}).samples >= 0  # numpy integers are integers
+
+
 @pytest.mark.parametrize("build, samples", [
     (lambda policy: mp.load_system(E3_DOCUMENT, policy), 1000),
     (lambda policy: mp.SystemDefinition(rigid_poisson(), mp.ScalarField.from_string("x1^2", 3), verification=policy), 30),
