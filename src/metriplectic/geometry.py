@@ -1,14 +1,13 @@
 """Poisson structures, scalar fields, and whole-system definitions.
 
-A system couples an antisymmetric state-dependent matrix Pi(x) with a
-Hamiltonian H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an
-entropy shaper phi: R^k -> R.  Casimir-ness cannot be proved from the
-expression trees, so it is certified by sampling: the residual
-``max_x ||Pi(x) grad C(x)||_inf`` over a box of random points, with Pi of
-the whole sample from one stacked call.  Every gradient is exact by
-construction: symbolic derivatives of the value, or the chain rule over
-them for grad phi(C); ``stability.hessian`` is the package's only
-finite-difference code, a test cross-check.  Scalar fields and Poisson
+A system couples an antisymmetric state-dependent matrix Pi(x) with a Hamiltonian
+H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an entropy shaper
+phi: R^k -> R.  A load proves Pi^T = -Pi and Pi grad C = 0 as polynomial
+identities where it can, else samples the residual ``max_x ||Pi(x) grad C(x)||_inf``
+over a box of random points, with Pi of the whole sample from one stacked call.
+Every gradient is exact by construction: symbolic derivatives of the value, or
+the chain rule over them for grad phi(C); ``stability.hessian`` is the package's
+only finite-difference code, a test cross-check.  Scalar fields and Poisson
 grids compile to kernels once, when built, and every check here runs on them.
 """
 
@@ -17,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -282,14 +282,82 @@ def verify_casimir(
     return [CasimirReport(float(column[i]), bool(column[i] <= tol), xs[i]) for i, column in worst]
 
 
+class _Unproved(Exception):
+    """A tree outside the polynomial normal form, or a proof past 20,000 pairs of terms multiplied."""
+
+
+def _collect(terms) -> dict:
+    """The polynomial {exponents: coefficient} summing (exponents, coefficient) terms, no coefficient 0."""
+    out: dict = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _products(p: dict, q: dict, memo: dict):
+    memo["pairs"] = memo.get("pairs", 0) + len(p) * len(q)
+    if memo["pairs"] > 20_000:
+        raise _Unproved
+    return ((tuple(map(int.__add__, m, k)), c * d) for m, c in p.items() for k, d in q.items())
+
+
+def _form(e: ex.Expression, n: int, bound: float, memo: dict) -> tuple[dict, float]:
+    """``e`` as an exact polynomial in x1..xn, and a bound of |e| where every |x_i| <= ``bound``.
+
+    A literal is its double's exact value; a ``Fun``, a divisor other than a nonzero literal or a power
+    other than a literal 0..64 raises :class:`_Unproved`.  ``memo`` keeps each node (temporaries too)
+    and, under ``"pairs"``, the count :func:`_products` holds to its budget.
+    """
+    if id(e) in memo:
+        return memo[id(e)][1]
+    form, t = lambda child: _form(child, n, bound, memo), type(e)
+    if t is ex.Num:
+        result = ({(0,) * n: Fraction(e.value)} if e.value else {}), abs(e.value)
+    elif t is ex.Var:
+        result = {tuple(int(i == e.index) for i in range(1, n + 1)): 1}, bound
+    elif t is ex.Neg:
+        result = form(ex.Sub(ex.Num(0.0), e.arg))
+    elif t is ex.Add or t is ex.Sub or t is ex.Mul:
+        (p, a), (q, b) = form(e.left), form(e.right)
+        q = {m: -c for m, c in q.items()} if t is ex.Sub else q
+        terms = _products(p, q, memo) if t is ex.Mul else [*p.items(), *q.items()]
+        result = _collect(terms), (a * b if t is ex.Mul else a + b)
+    elif t is ex.Div and type(e.right) is ex.Num and e.right.value:
+        (p, a), c = form(e.left), Fraction(e.right.value)
+        result = {m: v / c for m, v in p.items()}, a / abs(e.right.value)
+    elif t is ex.Pow and type(e.right) is ex.Num and e.right.value in range(65):
+        result = form(functools.reduce(ex.Mul, [e.left] * int(e.right.value), ex.Num(1.0)))  # 1*u*...*u
+    else:
+        raise _Unproved
+    memo[id(e)] = (e, result)
+    return result
+
+
+def _proved(poisson: PoissonStructure, casimirs: Sequence[ScalarField], box: tuple[float, float]) -> bool:
+    """Whether Pi_ij + Pi_ji = 0 and sum_j Pi_ij d_j C_l = 0 hold exactly, over the kernels' trees.
+
+    A proof counts only where a sample over ``box`` computes finite floats: the bound of each
+    |Pi_ij| + |Pi_ji| and each sum_j |Pi_ij| |d_j C_l| is below 1e300 (a nan bound fails).
+    """
+    n, memo = poisson.n, {}
+    form = functools.partial(_form, n=n, bound=max(abs(box[0]), abs(box[1])), memo=memo)
+    try:
+        pi, one = [[form(e) for e in row] for row in poisson.entries], ({(0,) * n: 1}, 1.0)
+        sums = [[(pi[i][j], one), (pi[j][i], one)] for i in range(n) for j in range(i, n)]
+        sums += [list(zip(row, map(form, c.gradient))) for c in casimirs for row in pi]
+        return all(sum(a * b for (_, a), (_, b) in terms) < 1e300
+                   and not _collect(t for (p, _), (q, _) in terms for t in _products(p, q, memo)) for terms in sums)
+    except _Unproved:
+        return False
+
+
 class SystemDefinition:
     """A Hamilton-Poisson system plus the entropy data for its dissipative part.
 
     Construction validates the pieces against each other (arities, phi
-    arity = k) and certifies every declared Casimir with one
-    :func:`verify_casimir` pass per the given :class:`VerificationPolicy`.
-    ``VerificationPolicy(samples=0)`` skips the sampling (used when a caller
-    wants to inspect a broken system deliberately).  Instances are
+    arity = k), then proves Pi^T = -Pi and Pi grad C_l = 0 exactly where it
+    can, else runs one :func:`verify_casimir` pass per the given policy;
+    ``VerificationPolicy(samples=0)`` skips both.  Instances are
     immutable; the only lazy caches are the entropy field and the dynamics
     kernels, each kernel compiled the first time it is called for.
     """
@@ -330,7 +398,7 @@ class SystemDefinition:
         self._entropy_field: Optional[ScalarField] = None
         self._compiled: dict = {}  # kind -> dynamics kernel (and its body, tail and loops), filled by dynamics
 
-        if verification.samples > 0:
+        if verification.samples > 0 and not _proved(poisson, self.casimirs, verification.box):
             pts = sample_box(n, verification.box, verification.samples, verification.seed)
             for idx, report in enumerate(verify_casimir(poisson, self.casimirs, pts, verification.tolerance)):
                 if not report.passed:

@@ -182,9 +182,9 @@ def _verification_policy(doc: dict) -> VerificationPolicy:
 def load_system(document: dict, verification: VerificationPolicy | None = None) -> SystemDefinition:
     """Build a :class:`SystemDefinition` from a JSON-compatible document.
 
-    All expressions are parsed eagerly and each declared Casimir is
-    verified by sampling (per the document's ``verification`` block, or
-    the default policy), so failures surface at load rather than during
+    All expressions are parsed eagerly and each declared Casimir is proved
+    or else verified by sampling (per the document's ``verification`` block,
+    or the default policy), so failures surface at load rather than during
     a simulation.  ``verification`` overrides the document's block when
     given; the block is still checked against the schema.
 

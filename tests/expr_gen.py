@@ -8,14 +8,18 @@ _FUNCS = ("sin", "cos", "exp", "ln", "sqrt")
 _EXPONENTS = (2.0, 3.0, -1.0, -2.0, 0.5)
 
 
+def random_leaf(rng: np.random.Generator, arity: int) -> ex.Expression:
+    if rng.random() < 0.45:
+        value = float(rng.integers(-3, 4))
+        if rng.random() < 0.4:
+            value += round(float(rng.uniform(-1, 1)), 3)
+        return ex.Num(value)
+    return ex.Var(int(rng.integers(1, arity + 1)))
+
+
 def random_tree(rng: np.random.Generator, arity: int, depth: int) -> ex.Expression:
     if depth <= 0 or rng.random() < 0.3:
-        if rng.random() < 0.45:
-            value = float(rng.integers(-3, 4))
-            if rng.random() < 0.4:
-                value += round(float(rng.uniform(-1, 1)), 3)
-            return ex.Num(value)
-        return ex.Var(int(rng.integers(1, arity + 1)))
+        return random_leaf(rng, arity)
     roll = rng.random()
     if roll < 0.15:
         return ex.Neg(random_tree(rng, arity, depth - 1))
@@ -29,6 +33,26 @@ def random_tree(rng: np.random.Generator, arity: int, depth: int) -> ex.Expressi
         )
     ctor = (ex.Add, ex.Sub, ex.Mul, ex.Div)[rng.integers(0, 4)]
     return ctor(random_tree(rng, arity, depth - 1), random_tree(rng, arity, depth - 1))
+
+
+def random_polynomial_tree(rng: np.random.Generator, arity: int, depth: int) -> ex.Expression:
+    """A random tree of the nodes a polynomial is written with.
+
+    Literals, variables, ``Neg``, ``Add``, ``Sub``, ``Mul``, ``Div`` by a
+    nonzero literal and ``Pow`` by a literal integer 0..3.
+    """
+    if depth <= 0 or rng.random() < 0.3:
+        return random_leaf(rng, arity)
+    grow = lambda: random_polynomial_tree(rng, arity, depth - 1)
+    roll = rng.random()
+    if roll < 0.15:
+        return ex.Neg(grow())
+    if roll < 0.3:
+        return ex.Pow(grow(), ex.Num(float(rng.integers(0, 4))))
+    if roll < 0.4:
+        return ex.Div(grow(), ex.Num(float(rng.choice([3.0, -0.1, 7.0, 0.5]))))
+    ctor = (ex.Add, ex.Sub, ex.Mul)[rng.integers(0, 3)]
+    return ctor(grow(), grow())
 
 
 def derivative_cases(seed: int, count: int, arity: int = 3, step: float = 1e-5):

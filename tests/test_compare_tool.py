@@ -60,6 +60,7 @@ def test_pairs_alternate_the_first_side_and_rerun_a_probe_race_once(tmp_path, mo
     monkeypatch.setattr(compare, "bench_run", fake_run)
     monkeypatch.setattr(compare, "archive", lambda rev, dest: dest)
     monkeypatch.setattr(compare, "working_tree", lambda: "c")
+    monkeypatch.setattr(compare, "git", lambda *args, env=None: "h\n")  # the head's rev-parse, also outside a checkout
     out = tmp_path / "bench.json"
     args = compare.argparse.Namespace(parent="p", workloads="certify", pairs=3, seconds=1.0, out=str(out))
     assert compare.pairs(args) == 0
@@ -73,3 +74,4 @@ def test_pairs_alternate_the_first_side_and_rerun_a_probe_race_once(tmp_path, mo
     assert (p50["parent"], p50["change"], p50["change_better_in_pairs"]) == (2.02, 1.025, "2 of 2")
     assert p50["within_bound"] and not result["medians"]["certify"]["work_per_s"]["within_bound"]
     assert result["machine"] == {"python": "3"} and "1 of the runs are reruns" in result["note"]
+    assert result["change"] == "working tree c (git tree of the files on h)"

@@ -346,17 +346,31 @@ def test_verification_policy_refuses_a_sample_count_or_seed_that_is_not_an_integ
     assert mp.VerificationPolicy(**{field: np.int64(3)}).samples >= 0  # numpy integers are integers
 
 
+EXP_IDENTITY_CASIMIR = "(x1^2 + x2^2 + x3^2)/2 + (exp(x1)*exp(-x1) - 1)*x1"  # a Casimir only through exp(x1)exp(-x1) = 1
+SIN_ROWS = [["0", "-sin(x3)", "x2"], ["sin(x3)", "0", "-x1"], ["-x2", "x1", "0"]]
+
+
 @pytest.mark.parametrize("build, samples", [
-    (lambda policy: mp.load_system(E3_DOCUMENT, policy), 1000),
-    (lambda policy: mp.SystemDefinition(rigid_poisson(), mp.ScalarField.from_string("x1^2", 3), verification=policy), 30),
-], ids=["e3", "no-casimirs"])
+    (lambda policy: mp.SystemDefinition(
+        rigid_poisson(), mp.ScalarField.from_string("x1^2", 3), [mp.ScalarField.from_string(EXP_IDENTITY_CASIMIR, 3)],
+        ex.parse("s1", 1, "s"), verification=policy), 1000),
+    (lambda policy: mp.SystemDefinition(
+        mp.PoissonStructure.from_strings(SIN_ROWS), mp.ScalarField.from_string("x1^2", 3), verification=policy), 30),
+], ids=["exp-identity-casimir", "sin-entry-no-casimirs"])
 def test_a_load_evaluates_pi_once_per_sample_point(monkeypatch, build, samples):
+    # neither system is a polynomial one, so the load samples instead of proving
     calls = count_poisson_calls(monkeypatch)
     policy = mp.VerificationPolicy(samples=samples)
     build(policy)
     # one stacked call, whose rows are the whole sample in order
     sample = mp.sample_box(calls[0].shape[1], policy.box, samples, policy.seed)
     assert len(calls) == 1 and np.array_equal(calls[0], sample)
+
+
+@pytest.mark.parametrize("build", [lambda: mp.load_system(E3_DOCUMENT), mp.rigid_body_system], ids=["e3", "rigid-body"])
+def test_a_proved_load_evaluates_pi_at_no_point(monkeypatch, build):
+    calls = count_poisson_calls(monkeypatch)
+    assert build().verification.samples == 1000 and calls == []
 
 
 def test_a_load_raises_the_first_evaluation_error_of_any_casimir():
