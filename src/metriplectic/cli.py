@@ -4,6 +4,8 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage or load
 error, 3 runtime divergence or escape.  Reports are JSON; trajectories
 are CSV with 17-significant-digit decimals and '\\n' line endings, so a
 rerun of the same fixed-step manifest reproduces the bytes exactly.
+The argument parser is built once per process, at the first :func:`main`
+call, and reused: parsing never changes it.
 """
 
 from __future__ import annotations
@@ -384,10 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    _PARSER = _PARSER or _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -8,7 +8,8 @@ over a box of random points, with Pi of the whole sample from one stacked call.
 Every gradient is exact by construction: symbolic derivatives of the value, or
 the chain rule over them for grad phi(C); ``stability.hessian`` is the package's
 only finite-difference code, a test cross-check.  Scalar fields and Poisson
-grids compile to kernels once, when built, and every check here runs on them.
+grids compile each kernel (Pi, a value, a gradient) at its first call, and
+every check here runs on them; construction still validates the trees.
 """
 
 from __future__ import annotations
@@ -117,11 +118,10 @@ class KernelFunction:
         return self.wrap(self.kernel(as_state(x, self.n)))
 
 
-def _compile(arity: int, label: str, **results) -> list:
-    """One kernel per keyword, returning the tuple of its expressions' values."""
-    names = [f"x{i + 1}" for i in range(arity)]
-    bodies = {name: ex.emit([(None, e) for e in exprs], names) for name, exprs in results.items()}
-    return list(ex.compile_kernels(arity, bodies, label).values())
+def _compile(arity: int, label: str, name: str, exprs: Sequence[ex.Expression]) -> Callable:
+    """The kernel ``name`` returning the tuple of the values of ``exprs``."""
+    body = ex.emit([(None, e) for e in exprs], [f"x{i + 1}" for i in range(arity)])
+    return ex.compile_kernels(arity, {name: body}, label)[name]
 
 
 class PoissonStructure:
@@ -134,8 +134,11 @@ class PoissonStructure:
             raise ValueError(f"entry grid must be {n}x{n}")
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
-        (self._kernel,) = _compile(n, "poisson", matrix=[e for row in self.entries for e in row])
         self._mirror = np.array([(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]).T  # flat ij, ji
+
+    @functools.cached_property
+    def _kernel(self) -> Callable:
+        return _compile(self.n, "poisson", "matrix", [e for row in self.entries for e in row])
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "PoissonStructure":
@@ -194,7 +197,14 @@ class ScalarField:
         self.arity = arity
         self.value = value
         self.gradient = tuple(gradient)
-        self._value, self._gradient = _compile(arity, "field", value=[value], gradient=self.gradient)
+
+    @functools.cached_property
+    def _value(self) -> Callable:
+        return _compile(self.arity, "field", "value", [self.value])
+
+    @functools.cached_property
+    def _gradient(self) -> Callable:
+        return _compile(self.arity, "field", "gradient", self.gradient)
 
     @classmethod
     def from_expression(cls, value: ex.Expression, arity: int) -> "ScalarField":
@@ -304,16 +314,17 @@ def _products(p: dict, q: dict, memo: dict):
 def _form(e: ex.Expression, n: int, bound: float, memo: dict) -> tuple[dict, float]:
     """``e`` as an exact polynomial in x1..xn, and a bound of |e| where every |x_i| <= ``bound``.
 
-    A literal is its double's exact value; a ``Fun``, a divisor other than a nonzero literal or a power
-    other than a literal 0..64 raises :class:`_Unproved`.  ``memo`` keeps each node (temporaries too)
-    and, under ``"pairs"``, the count :func:`_products` holds to its budget.
+    A literal is its double's exact value; a non-finite literal, a variable past x_n, a ``Fun``, a divisor
+    other than a finite nonzero literal or a power other than a literal 0..64 raises :class:`_Unproved`
+    (so a load samples, and the kernel's compile refuses a tree it cannot run).  ``memo`` keeps each node
+    (temporaries too) and, under ``"pairs"``, the count :func:`_products` holds to its budget.
     """
     if id(e) in memo:
         return memo[id(e)][1]
     form, t = lambda child: _form(child, n, bound, memo), type(e)
-    if t is ex.Num:
+    if t is ex.Num and math.isfinite(e.value):
         result = ({(0,) * n: Fraction(e.value)} if e.value else {}), abs(e.value)
-    elif t is ex.Var:
+    elif t is ex.Var and e.index <= n:
         result = {tuple(int(i == e.index) for i in range(1, n + 1)): 1}, bound
     elif t is ex.Neg:
         result = form(ex.Sub(ex.Num(0.0), e.arg))
@@ -322,7 +333,7 @@ def _form(e: ex.Expression, n: int, bound: float, memo: dict) -> tuple[dict, flo
         q = {m: -c for m, c in q.items()} if t is ex.Sub else q
         terms = _products(p, q, memo) if t is ex.Mul else [*p.items(), *q.items()]
         result = _collect(terms), (a * b if t is ex.Mul else a + b)
-    elif t is ex.Div and type(e.right) is ex.Num and e.right.value:
+    elif t is ex.Div and type(e.right) is ex.Num and 0 < abs(e.right.value) < math.inf:
         (p, a), c = form(e.left), Fraction(e.right.value)
         result = {m: v / c for m, v in p.items()}, a / abs(e.right.value)
     elif t is ex.Pow and type(e.right) is ex.Num and e.right.value in range(65):
@@ -358,8 +369,9 @@ class SystemDefinition:
     arity = k), then proves Pi^T = -Pi and Pi grad C_l = 0 exactly where it
     can, else runs one :func:`verify_casimir` pass per the given policy;
     ``VerificationPolicy(samples=0)`` skips both.  Instances are
-    immutable; the only lazy caches are the entropy field and the dynamics
-    kernels, each kernel compiled the first time it is called for.
+    immutable; the only lazy caches are the entropy field and the kernels
+    (Pi, each field's value and gradient, the dynamics kernels), each
+    compiled at its first call.
     """
 
     def __init__(

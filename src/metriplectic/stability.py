@@ -103,7 +103,7 @@ def lyapunov_report(
     gradient = [ex.add(g_i, u_i) for g_i, u_i in zip(h.gradient, entropy.gradient)]
     upper = [ex.differentiate(gradient[i], j + 1) for i in range(n) for j in range(i, n)]
     # gradient, Hessian triangle, value: a point where several fail raises the gradient's error first
-    (kernel,) = _compile(n, "energy-casimir", report=gradient + upper + [ex.add(h.value, entropy.value)])
+    kernel = _compile(n, "energy-casimir", "report", gradient + upper + [ex.add(h.value, entropy.value)])
     values = kernel(as_state(point, n))
     sym = np.empty((n, n))
     rows, cols = np.triu_indices(n)  # row by row, the order of upper

@@ -1,5 +1,6 @@
 """The exact load-time proof of antisymmetry and Pi grad C = 0, and where a load samples instead."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import metriplectic as mp
 from metriplectic import expressions as ex
 from metriplectic import geometry
 from expr_gen import random_polynomial_tree
+from test_compiled_path import recording_compiles
 from test_expressions import to_sympy
 from test_geometry import EXP_IDENTITY_CASIMIR, NAN_CASIMIR, count_poisson_calls, rigid_poisson
 
@@ -92,6 +94,17 @@ def test_a_casimir_only_through_exp_is_not_proved_and_loads_by_sampling(monkeypa
     assert not proved(EXP_IDENTITY_CASIMIR)
     calls = count_poisson_calls(monkeypatch)
     assert rigid_with(EXP_IDENTITY_CASIMIR).k == 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("casimir, expected", [
+    ("(x1^2 + x2^2 + x3^2)/2", Counter()),
+    (EXP_IDENTITY_CASIMIR, Counter(matrix=1, gradient=1)),
+], ids=["proved", "exp-identity-sampled"])
+def test_a_load_compiles_pi_and_the_casimir_gradients_only_when_it_samples(monkeypatch, casimir, expected):
+    poisson, fields = rigid_poisson(), [mp.ScalarField.from_string(text, 3) for text in ("x1^2", casimir)]
+    compiled = recording_compiles(monkeypatch)
+    mp.SystemDefinition(poisson, fields[0], fields[1:], ex.parse("s1", 1, "s"))
+    assert Counter(compiled) == expected
 
 
 def test_the_nan_casimir_is_not_proved_and_still_refused():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 import time
 from pathlib import Path
 
@@ -232,6 +233,38 @@ def test_default_tolerances_are_the_library_constants():
     assert simulate.defect_tol == lasalle["defect_tol"].default == stability.DEFECT_TOL
     # the CLI's own: no library function has a default for these
     assert (simulate.t0, simulate.guard_radius, simulate.seed, verify.seed) == (0.0, 1.0, 42, 42)
+
+
+def test_main_builds_its_parser_once_and_parsing_leaves_it_as_built(tmp_path, monkeypatch, capsys):
+    # a usage error and --version between commands leave the kept parser parsing as a fresh one does
+    commands = [
+        ["verify", "--samples", "50"],
+        ["verify", "--samples", "many"],
+        ["--version"],
+        ["equilibrium", "--point", "1,0,0"],
+        ["simulate", "--x0", "1.01,0.05,-0.03", "--t1", "1", "--h", "1e-2", "--analyze"],
+    ]
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+
+    def outcomes(side, fresh):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)  # the manifests record the same relative paths on both sides
+        results = []
+        for argv in commands:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code = cli.main(argv + ["--out-dir", "out"])
+            files = {path.name: re.sub(rb'\n *"runtime_seconds": [^\n]*\n', b"\n", path.read_bytes())
+                     for path in sorted(Path("out").glob("*"))}
+            results.append((code, *capsys.readouterr(), files))
+        return results
+
+    kept = outcomes("kept", fresh=False)
+    assert len(built) == 1
+    assert [code for code, *_ in kept] == [0, 2, 0, 0, 0]
+    assert kept == outcomes("fresh", fresh=True) and len(built) == 1 + len(commands)
 
 
 def test_equilibrium_dimension_mismatch(tmp_path):

@@ -374,6 +374,7 @@ def test_generated_sources_show_in_tracebacks():
 def test_generated_source_leaves_linecache_with_its_kernels():
     existing = set(linecache.cache)
     fields = [mp.ScalarField.from_string(f"x1^2 + {i}*x1", 1) for i in range(20)]
+    assert [f.value_at([1.0]) for f in fields] == [1.0 + i for i in range(20)]  # compiles each value kernel
     added = set(linecache.cache) - existing
     assert len(added) == 20
     del fields

@@ -388,6 +388,35 @@ def test_a_load_raises_the_first_evaluation_error_of_any_casimir():
         )
 
 
+@pytest.mark.parametrize("pi_12, casimir, message", [
+    (ex.Mul(ex.Num(math.inf), ex.Var(3)), None, "cannot compile non-finite literal inf"),
+    (ex.Div(ex.Var(1), ex.Num(math.inf)), None, "cannot compile non-finite literal inf"),
+    (ex.Div(ex.Var(1), ex.Num(math.nan)), None, "cannot compile non-finite literal nan"),
+    (None, ex.Add(ex.Var(2), ex.Mul(ex.Num(math.nan), ex.Var(1))), "cannot compile non-finite literal nan"),
+    (ex.Var(4), None, "variable index 4 beyond name table of 3"),
+], ids=["inf-in-pi", "inf-divisor-in-pi", "nan-divisor-in-pi", "nan-in-casimir", "x4-in-3d-pi"])
+def test_a_tree_no_kernel_can_run_fails_its_load_or_else_its_first_evaluation(pi_12, casimir, message):
+    # only a hand-built tree has such a node: the parser and the smart constructors make none.  The
+    # proof refuses it (x4 read as a constant would prove this Pi antisymmetric), so a load samples and
+    # the kernel's compile raises; a load without samples compiles nothing, and the first evaluation raises
+    rows = [list(row) for row in rigid_poisson().entries]
+    if pi_12 is not None:
+        rows[0][1], rows[1][0] = pi_12, ex.Neg(pi_12)
+    casimirs = [] if casimir is None else [mp.ScalarField(3, casimir)]
+
+    def load(samples):
+        return mp.SystemDefinition(mp.PoissonStructure(3, rows), mp.ScalarField.from_string("x1^2", 3), casimirs,
+                                   ex.parse("s1", 1, "s") if casimirs else None,
+                                   verification=mp.VerificationPolicy(samples=samples))
+
+    with pytest.raises(ValueError, match=message):
+        load(1000)
+    sys_def = load(0)
+    with pytest.raises(ValueError, match=message):
+        mp.poisson_matrix(sys_def.poisson, [1.0, 1.0, 1.0])
+        sys_def.casimirs[0].gradient_at([1.0, 1.0, 1.0])
+
+
 @pytest.mark.parametrize("casimirs", [0, 1])
 def test_antisymmetry_is_checked_at_every_sample_point(casimirs):
     # Pi_12 breaks antisymmetry only where x1 > 1.95; the first such default
