@@ -123,7 +123,7 @@ def _write_manifest(out_dir: Path, command: str, args, outputs: list, tolerances
         "seed": getattr(args, "seed", None),
         "tolerances": tolerances,
         "outputs": [str(p) for p in outputs],
-        "argv": list(_sys.argv[1:]) if _sys.argv else [],
+        "argv": args.argv,
         "version": __version__,
     }
     _write_json(out_dir / "run_manifest.json", manifest)
@@ -392,10 +392,12 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 def main(argv=None) -> int:
     global _PARSER
     _PARSER = _PARSER or _build_parser()
+    argv = list(_sys.argv[1:] if argv is None else argv)
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args.argv = argv  # what the manifest records
     try:
         return args.func(args)
     except _CliError as exc:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expressions as ex
-from .geometry import SystemDefinition, _worst, compose_entropy, verify_casimir
+from .geometry import SystemDefinition, _on_columns, _worst, compose_entropy, verify_casimir
 
 __all__ = [
     "DissipationMatrix",
@@ -118,7 +118,8 @@ def verify_metriplectic_conditions(
     Each passes iff its worst residual is <= ``tol``, a finite number > 0.
     m1 is the worst :func:`geometry.verify_casimir` report (the first
     Casimir holding it); that pass raises its evaluation errors before
-    grad H and grad phi(C) are evaluated, point by point.  m2 and m3 are one
+    grad H and grad phi(C) are evaluated, each by one array-mode call of its
+    kernel (point by point where that call raises).  m2 and m3 are one
     stacked pass; ``m2`` multiplies each point's dense matrix against its
     gradient, so the cancellation of the entrywise construction is exercised
     honestly.  Empty maxima (k = 0 systems) count as 0; the first residual
@@ -126,15 +127,17 @@ def verify_metriplectic_conditions(
     where grad H is not finite has a nan m2 and m3 residual.
     """
     casimirs = verify_casimir(sys.poisson, sys.casimirs, points, tol)
-    gradients = sys.hamiltonian._gradient, compose_entropy(sys)._gradient
+    fields = sys.hamiltonian, compose_entropy(sys)
     xs = np.asarray(points, dtype=float)
-    rows = []
-    for p in xs.tolist():
-        try:
-            rows.append([gradient(p) for gradient in gradients])
-        except ex.EvaluationError as exc:
-            raise ex.EvaluationError(f"condition check failed at {p}: {exc}") from exc
-    g, u = np.array(rows).transpose(1, 0, 2)  # grad H and grad phi(C), one row per point
+    rows = _on_columns([f._array_gradient for f in fields], xs)
+    if rows is None:
+        rows = []
+        for p in xs.tolist():
+            try:
+                rows.append([f._gradient(p) for f in fields])
+            except ex.EvaluationError as exc:
+                raise ex.EvaluationError(f"condition check failed at {p}: {exc}") from exc
+    g, u = np.asarray(rows).transpose(1, 0, 2)  # grad H and grad phi(C), one row per point
     with np.errstate(all="ignore"):
         g_residuals = np.max(np.abs(_dense(g) @ g[..., None]), axis=(1, 2))
         productions = entropy_production(g, u)

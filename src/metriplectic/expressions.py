@@ -487,40 +487,48 @@ SOURCE_ENV: dict[str, Callable] = {
 }
 
 
-def _node_source(e: Expression, a: str, b: Optional[str] = None) -> str:
-    """Source of the non-leaf node ``e`` whose operands render as ``a`` (and ``b``)."""
-    op = _BINARY_SOURCE.get(type(e))
-    if op is not None:
-        return f"({a}{op}{b})"
-    if type(e) is Neg:
-        return f"(-{a})"
-    if type(e) is Fun:
-        return f"{_SOURCE_FUNCTIONS[e.name]}({a})"
-    if type(e.right) is Num and float(e.right.value).is_integer() and abs(e.right.value) < 1e15:
-        return f"({a}**{int(e.right.value)})"
-    return f"_pow({a}, {b})"
+def _node_source(e: Expression, a: tuple, b: Optional[tuple] = None) -> tuple:
+    """Source and precedence of the non-leaf node ``e`` over operands ``(source, precedence)`` ``a`` (and ``b``),
+    parenthesized only as Python needs; names, calls and literals (a negative one in parentheses) are atoms."""
+    wrap = lambda operand, minimum: operand[0] if operand[1] >= minimum else f"({operand[0]})"
+    cls = type(e)
+    if cls is Fun:
+        return f"{_SOURCE_FUNCTIONS[e.name]}({a[0]})", _PREC_ATOM
+    if cls is Neg:
+        return "-" + wrap(a, _PREC_NEG), _PREC_NEG
+    if cls is Pow:
+        if type(e.right) is Num and float(e.right.value).is_integer() and abs(e.right.value) < 1e15:
+            return f"{wrap(a, _PREC_ATOM)}**{int(e.right.value)}", _PREC_POW
+        return f"_pow({a[0]}, {b[0]})", _PREC_ATOM
+    prec = _PREC_ADD if cls is Add or cls is Sub else _PREC_MUL
+    return f"{wrap(a, prec)}{_BINARY_SOURCE[cls]}{wrap(b, prec + 1)}", prec
 
 
 def to_source(e: Expression, names: Sequence[str]) -> str:
     """Render as a Python expression over the given variable names.
 
-    ``names[i-1]`` replaces variable ``i``.  The result is meant to run in
-    a kernel built by :func:`compile_kernels`.
+    ``names[i-1]`` replaces variable ``i``.  The result, with only the parentheses
+    Python needs, is meant to run in a kernel built by :func:`compile_kernels`.
     """
+    return _source(e, names)[0]
+
+
+def _source(e: Expression, names: Sequence[str]) -> tuple:
+    """:func:`to_source` of ``e`` and its precedence there."""
     cls = type(e)
     if cls is Num:
         if not math.isfinite(e.value):
             raise ValueError(f"cannot compile non-finite literal {e.value!r}")
         # parenthesize negatives and -0.0: '**' binds tighter than unary minus in Python
-        return f"({e.value!r})" if math.copysign(1.0, e.value) < 0 else repr(e.value)
+        return (f"({e.value!r})" if math.copysign(1.0, e.value) < 0 else repr(e.value)), _PREC_ATOM
     if cls is Var:
         if e.index > len(names):
             raise ValueError(f"variable index {e.index} beyond name table of {len(names)}")
-        return names[e.index - 1]
+        return names[e.index - 1], _PREC_ATOM
     if cls is Neg or cls is Fun:
-        return _node_source(e, to_source(e.arg, names))
+        return _node_source(e, _source(e.arg, names))
     if cls in _BINARY_SOURCE or cls is Pow:
-        return _node_source(e, to_source(e.left, names), to_source(e.right, names))
+        return _node_source(e, _source(e.left, names), _source(e.right, names))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -533,6 +541,7 @@ def emit(assignments: Sequence[tuple[Optional[str], Expression]], names: Sequenc
     kind and operands, leaves by source (``0.0`` and ``-0.0`` stay apart).
     A local holds the same operations on the same operands, so values keep
     their bits; of two failures, the one reported can differ from inline's.
+    Lines have only the parentheses Python needs; a local or target is an atom.
     """
     numbers, indices, entries, uses = {}, {}, [], {}  # by id(node), by (kind, operands), by index or leaf
 
@@ -554,21 +563,22 @@ def emit(assignments: Sequence[tuple[Optional[str], Expression]], names: Sequenc
     for _, tree in assignments:
         roots.append((number(tree), len(entries)))
         uses[roots[-1][0]] = uses.get(roots[-1][0], 0) + 1
-    refs, lines, returned, start = {}, [], [], 0  # refs: index -> the local holding it, or its source
+    refs, lines, returned, start = {}, [], [], 0  # refs: index -> (the local holding it, or its source, precedence)
+    ref = lambda value: refs.get(value, (value, _PREC_ATOM))  # a leaf's source is an atom
     for (target, _), (root, end) in zip(assignments, roots):
         for index in range(start, end):
             e, a, b = entries[index]
-            refs[index] = _node_source(e, refs.get(a, a), refs.get(b, b))
+            refs[index] = _node_source(e, ref(a), ref(b))
             if uses[index] > 1 and (index != root or target is None):
-                lines.append(f"t{len(lines) + 1} = {refs[index]}")
-                refs[index] = f"t{len(lines)}"
+                lines.append(f"t{len(lines) + 1} = {refs[index][0]}")
+                refs[index] = f"t{len(lines)}", _PREC_ATOM
         start = end
         if target is None:
-            returned.append(refs.get(root, root))
+            returned.append(ref(root)[0])
             continue
-        lines.append(f"{target} = {refs.get(root, root)}")
+        lines.append(f"{target} = {ref(root)[0]}")
         if type(root) is int:
-            refs[root] = target
+            refs[root] = target, _PREC_ATOM
     return lines + ["return (" + "".join(f"{source}, " for source in returned) + ")"] if returned else lines
 
 
@@ -579,6 +589,7 @@ def compile_kernels(arity: int, bodies: Mapping[str, Sequence[str]], label: str,
     locals ``x1..x<arity>`` unpacked from the list ``xs``.  The functions
     run with ``env`` (:data:`SOURCE_ENV` or a superset) in scope, and each maps a math error raised
     inside it (one of ``KERNEL_ERRORS``) to the :func:`kernel_error` naming its text (no errno) and ``xs``.
+    A function's code also runs rebound to other globals (numpy's functions, on a sample's columns).
     """
     unpack = "".join(f"        x{i + 1} = xs[{i}]\n" for i in range(arity))
     source = "".join(

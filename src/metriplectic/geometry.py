@@ -4,7 +4,8 @@ A system couples an antisymmetric state-dependent matrix Pi(x) with a Hamiltonia
 H and k Casimir functions C_1..C_k (Pi grad C_i = 0), plus an entropy shaper
 phi: R^k -> R.  A load proves Pi^T = -Pi and Pi grad C = 0 as polynomial
 identities where it can, else samples the residual ``max_x ||Pi(x) grad C(x)||_inf``
-over a box of random points, with Pi of the whole sample from one stacked call.
+over a box of random points: Pi and each grad C_l from one call of its kernel's
+code on the sample's numpy columns, or point by point where that call raises.
 Every gradient is exact by construction: symbolic derivatives of the value, or
 the chain rule over them for grad phi(C); ``stability.hessian`` is the package's
 only finite-difference code, a test cross-check.  Scalar fields and Poisson
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -124,6 +126,33 @@ def _compile(arity: int, label: str, name: str, exprs: Sequence[ex.Expression]) 
     return ex.compile_kernels(arity, {name: body}, label)[name]
 
 
+_ARRAY_ENV = {"sin": np.sin, "cos": np.cos, "_exp": np.exp, "_ln": np.log, "_sqrt": np.sqrt, "_pow": np.power}
+
+
+def _array_kernel(kernel: Callable) -> Callable:
+    """``kernel``'s code with numpy's functions, for ``xs`` a sample's columns."""
+    return types.FunctionType(kernel.__code__, {**kernel.__globals__, **_ARRAY_ENV})
+
+
+def _on_columns(kernels: Sequence[Callable], xs: np.ndarray) -> Optional[np.ndarray]:
+    """The values (M, kernels, m) of array kernels, each called once on the columns of a sample (M, n), or None
+    where the scalar code must run: no kernel, a point or literal not finite (inf/0 raises no numpy flag, where
+    x/0.0 raises in floats), or a call that raises, as an overflow, a division by zero or a nan result does."""
+    literals = [c for kernel in kernels for c in kernel.__code__.co_consts if type(c) is float]
+    if not kernels or not (np.isfinite(xs).all() and np.isfinite(literals).all()):
+        return None
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            values = [kernel(list(xs.T)) for kernel in kernels]
+    except ArithmeticError:  # a numpy FloatingPointError, or the EvaluationError of a constant subtree
+        return None
+    out = np.empty((len(xs), len(values), len(values[0])))
+    for k, row in enumerate(values):
+        for j, v in enumerate(row):
+            out[:, k, j] = v  # a constant fills its column
+    return out
+
+
 class PoissonStructure:
     """n x n grid of expressions, entry (i, j) giving the bracket {x_i, x_j}."""
 
@@ -139,6 +168,8 @@ class PoissonStructure:
     @functools.cached_property
     def _kernel(self) -> Callable:
         return _compile(self.n, "poisson", "matrix", [e for row in self.entries for e in row])
+
+    _array = functools.cached_property(lambda self: _array_kernel(self._kernel))
 
     @classmethod
     def from_strings(cls, rows: Sequence[Sequence[str]]) -> "PoissonStructure":
@@ -156,20 +187,23 @@ def poisson_matrix(structure: PoissonStructure, x: Sequence[float]) -> np.ndarra
     """
     n = structure.n
     xs = np.asarray(x, dtype=float)
-    points = xs.tolist() if xs.ndim == 2 and xs.shape[1] == n else [as_state(xs, n)]
-    try:
-        values = np.array([structure._kernel(p) for p in points], dtype=float).reshape(len(points), n * n)
-    except ex.EvaluationError:
-        for p in points if xs.ndim == 2 else ():  # row by row, an earlier row may fail antisymmetry first
-            poisson_matrix(structure, p)
-        raise
+    stacked = xs.ndim == 2 and xs.shape[1] == n
+    values = _on_columns([structure._array], xs) if stacked else None
+    if values is None:
+        points = xs.tolist() if stacked else [as_state(xs, n)]
+        try:
+            values = np.array([structure._kernel(p) for p in points], dtype=float)
+        except ex.EvaluationError:
+            for p in points if stacked else ():  # row by row, an earlier row may fail antisymmetry first
+                poisson_matrix(structure, p)
+            raise
     with np.errstate(all="ignore"):  # an overflow or a nan fails below, without a warning
-        defects = np.abs(values[:, structure._mirror].sum(axis=1))  # |Pi_ij + Pi_ji|
+        defects = np.abs(values.reshape(-1, n * n)[:, structure._mirror].sum(axis=1))  # |Pi_ij + Pi_ji|
     sound = np.all(defects <= ANTISYMMETRY_TOL, axis=1)  # nan fails
     if not sound.all():
         i = int(np.argmin(sound))
         raise AntisymmetryError(
-            f"Pi(x) + Pi(x)^T has max entry {np.max(defects[i]):.3e} at x={points[i]} "
+            f"Pi(x) + Pi(x)^T has max entry {np.max(defects[i]):.3e} at x={xs.reshape(-1, n)[i].tolist()} "
             f"(tolerance {ANTISYMMETRY_TOL})"
         )
     return values.reshape(xs.shape[:-1] + (n, n))
@@ -205,6 +239,8 @@ class ScalarField:
     @functools.cached_property
     def _gradient(self) -> Callable:
         return _compile(self.arity, "field", "gradient", self.gradient)
+
+    _array_gradient = functools.cached_property(lambda self: _array_kernel(self._gradient))
 
     @classmethod
     def from_expression(cls, value: ex.Expression, arity: int) -> "ScalarField":
@@ -275,7 +311,9 @@ def verify_casimir(
         as_state(xs[0], structure.n)  # raises the first point's shape error
     try:
         pis = poisson_matrix(structure, xs)
-        grads = np.array([c._gradient(p) for p in xs.tolist() for c in casimirs], dtype=float)
+        grads = _on_columns([c._array_gradient for c in casimirs], xs)
+        if grads is None:
+            grads = np.array([c._gradient(p) for p in xs.tolist() for c in casimirs], dtype=float)
     except (ex.EvaluationError, AntisymmetryError):
         pis = None
     for p in xs.tolist() if pis is None else ():  # point by point, outside the handler

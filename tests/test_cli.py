@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -62,6 +63,17 @@ def test_verify_builtin_passes(tmp_path):
     manifest = read_json(tmp_path / "run_manifest.json")
     assert manifest["command"] == "verify"
     assert manifest["seed"] == 42
+
+
+def test_the_manifest_records_the_arguments_main_parsed(tmp_path, monkeypatch):
+    # an in-process run records its own arguments, not the host process's; a console run records sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["host", "extra-arg"])
+    argv = ["verify", "--samples", "20", "--out-dir", str(tmp_path / "given")]
+    assert cli.main(argv) == 0
+    assert read_json(tmp_path / "given" / "run_manifest.json")["argv"] == argv
+    monkeypatch.setattr(sys, "argv", ["metriplectic", *argv[:-1], str(tmp_path / "console")])
+    assert cli.main() == 0
+    assert read_json(tmp_path / "console" / "run_manifest.json")["argv"] == sys.argv[1:]
 
 
 def test_verify_bad_casimir_config_fails(tmp_path):

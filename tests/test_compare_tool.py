@@ -1,10 +1,13 @@
 """``tools/compare.py``: ``identity`` reads the same tree twice as identical and finds one planted byte;
-``pairs`` re-derives a committed BENCH file's medians and alternates, reruns and records its runs."""
+``pairs`` re-derives a committed BENCH file's medians, stops at a failed preflight of the change, and
+alternates, reruns and records its runs."""
 
 import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,11 +47,46 @@ def test_pairs_medians_re_derive_a_committed_bench_file():
     assert json.dumps(compare.medians(bench["pairs"], spec)) == json.dumps(bench["medians"])  # key order included
 
 
-def test_pairs_alternate_the_first_side_and_rerun_a_probe_race_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failures, recorded", [
+    ([{"exit": 1, "correct": None}], {"attempt": 1, "exit": 1}),
+    ([{"exit": 0, "correct": False}], {"attempt": 1, "exit": 0, "correct": False}),
+    ([{"exit": 1, "correct": None, "stderr_tail": ["probe race"]}] * 2, {"attempt": 2, "exit": 1}),
+])
+def test_pairs_stop_before_the_first_pair_when_the_change_fails_its_preflight(tmp_path, monkeypatch, failures,
+                                                                               recorded):
     compare = load_compare()
     calls = []
 
     def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        run = {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "metrics": None, "stderr_tail": []}
+        run.update(failures[len(calls) - 1] if len(calls) <= len(failures) else {})
+        run["stderr_tail"] = [line.replace("probe race", compare.PROBE_RACE) for line in run["stderr_tail"]]
+        return run, None
+
+    monkeypatch.setattr(compare, "bench_run", fake_run)
+    monkeypatch.setattr(compare, "archive", lambda rev, dest: dest)
+    monkeypatch.setattr(compare, "working_tree", lambda: "c")
+    monkeypatch.setattr(compare, "git", lambda *args, env=None: "h\n")
+    out = tmp_path / "bench.json"
+    args = compare.argparse.Namespace(parent="p", workloads="certify,simulate", pairs=3, seconds=30.0, out=str(out))
+    assert compare.pairs(args) == 1
+    assert calls == [("change", "certify", 1, compare.PREFLIGHT_SECONDS)] * len(failures)  # no pair, no other workload
+    result = json.loads(out.read_text())
+    assert result["pairs"] == {} and result["medians"] == {}
+    preflight = result["preflight"]
+    assert (preflight["workload"], preflight["seed"]) == ("certify", 1)
+    assert {key: preflight[key] for key in recorded} == recorded
+
+
+def test_pairs_alternate_the_first_side_and_rerun_a_probe_race_once(tmp_path, monkeypatch):
+    compare = load_compare()
+    calls, preflights = [], []
+
+    def fake_run(tree, workload, seed, seconds):
+        if seconds == compare.PREFLIGHT_SECONDS:  # the change's preflight, which passes
+            preflights.append((tree.name, workload, seed))
+            return {"exit": 0, "correct": True, "attempted": 1, "failed": 0, "metrics": {}}, None
         calls.append((tree.name, workload, seed))
         if len(calls) in (2, 3):  # the second run dies of the probe race twice: rerun once, then kept as failed
             return {"exit": 1, "correct": None, "attempted": None, "failed": None, "metrics": None,
@@ -75,3 +113,4 @@ def test_pairs_alternate_the_first_side_and_rerun_a_probe_race_once(tmp_path, mo
     assert p50["within_bound"] and not result["medians"]["certify"]["work_per_s"]["within_bound"]
     assert result["machine"] == {"python": "3"} and "1 of the runs are reruns" in result["note"]
     assert result["change"] == "working tree c (git tree of the files on h)"
+    assert preflights == [("change", "certify", 1)] and "preflight" not in result

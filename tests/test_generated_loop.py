@@ -360,7 +360,7 @@ def test_generated_sources_show_in_tracebacks():
     with pytest.raises(mp.EvaluationError) as err:
         field.value_at([1.0])
     text = "".join(traceback.format_exception(err.value))
-    assert "return ((x1 + _ln((x1 - 2.0))), )" in text
+    assert "return (x1 + _ln(x1 - 2.0), )" in text
 
     def broken(x):
         raise RuntimeError("not a math error")

@@ -24,13 +24,16 @@ warns as it would in a fresh interpreter.
 
 ``pairs`` runs ``perfbench/run.py`` one run at a time on a ``git archive``
 of ``<rev>`` (the parent) and on one of the working tree's files as
-``git add -A`` would stage them (the change).  Pair p runs seed p, the
-parent first on odd seeds.  A
-run that dies of the set-up probe race (``could not convert string to
-float: ''``) is rerun once, and both runs are recorded.  The JSON written
-to ``--out`` (after every run, so a cut-short session leaves its pairs)
-holds ``parent``, ``change``, ``command``, ``machine``, ``note``,
-``medians`` and ``pairs``; each median gives both sides' value and
+``git add -A`` would stage them (the change).  Before a workload's first
+pair, a preflight runs the change once for 5 s at seed 1; unless it exits
+0 with ``correct: true``, ``pairs`` writes it under ``preflight`` and exits
+1 without running the pairs.  Pair p runs seed p, the parent first on odd
+seeds.  A run that dies of the set-up probe race (``could not convert
+string to float: ''``), the preflight too, is rerun once, and both runs
+of a pair are recorded.  The JSON written to ``--out`` (after every run,
+so a cut-short session leaves its pairs) holds ``parent``, ``change``,
+``command``, ``machine``, ``note``, ``medians`` and ``pairs`` (and
+``preflight`` after a failed one); each median gives both sides' value and
 quartiles over their completed runs, ``change_vs_parent``, the
 BENCHMARK.json ``bound``, ``worse_by``, ``within_bound`` and in how many
 complete pairs the change was strictly better.
@@ -169,6 +172,7 @@ def archive(rev: str, dest: Path) -> Path:
 
 
 PROBE_RACE = "could not convert string to float: ''"
+PREFLIGHT_SECONDS = 5.0
 MACHINE_KEYS = ("python", "numpy", "platform", "nproc", "affinity")
 
 
@@ -197,6 +201,15 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     return ({"exit": 0, "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
              "metrics": metrics}, {key: record[key] for key in MACHINE_KEYS})
+
+
+def attempts(tree: Path, workload: str, seed: int, seconds: float):
+    """``(attempt, record, machine)`` of one run, and of its rerun if it died of the set-up probe race."""
+    for attempt in (1, 2):
+        run, machine = bench_run(tree, workload, seed, seconds)
+        yield attempt, run, machine
+        if not any(PROBE_RACE in line for line in run.get("stderr_tail", [])):
+            return
 
 
 def medians(pairs: dict, spec: dict) -> dict:
@@ -251,16 +264,19 @@ def pairs(args) -> int:
     try:
         trees = {"parent": archive(args.parent, scratch / "parent"), "change": archive(change, scratch / "change")}
         for workload in args.workloads.split(","):
+            *_, (attempt, run, _) = attempts(trees["change"], workload, 1, PREFLIGHT_SECONDS)
+            if run["exit"] != 0 or run["correct"] is not True:
+                result["preflight"] = {"workload": workload, "attempt": attempt, "seed": 1, **run}
+                Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+                print(f"{workload} preflight of the change failed: exit {run['exit']}", file=sys.stderr)
+                return 1
             runs = result["pairs"][workload] = []
             for pair in range(1, args.pairs + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                    for attempt in (1, 2):
-                        run, machine = bench_run(trees[side], workload, pair, args.seconds)
+                    for attempt, run, machine in attempts(trees[side], workload, pair, args.seconds):
                         runs.append({"pair": pair, "attempt": attempt, "seed": pair, "side": side, **run})
                         result["machine"] = result["machine"] or machine
                         print(f"{workload} pair {pair} {side} attempt {attempt}: exit {run['exit']}", file=sys.stderr)
-                        if not any(PROBE_RACE in line for line in run.get("stderr_tail", [])):
-                            break
                     result["medians"] = medians(result["pairs"], spec)
                     result["note"] = note(result, args)
                     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
