@@ -40,7 +40,6 @@ from .geometry import (
 from .dissipation import (
     ConditionReport,
     DissipationMatrix,
-    apply_dissipation,
     build_dissipation_matrix,
     entropy_production,
     verify_metriplectic_conditions,
@@ -64,12 +63,10 @@ from .integrators import (
     StepControl,
     Trajectory,
     integrate,
-    rk4_step,
 )
 from .stability import (
     LaSalleReport,
     LyapunovReport,
-    hessian,
     lasalle_diagnostics,
     lyapunov_report,
 )
@@ -79,7 +76,6 @@ from .systems import (
     RigidBodyParams,
     load_system,
     load_system_file,
-    rigid_body_perturbed_rhs,
     rigid_body_system,
 )
 

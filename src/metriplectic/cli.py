@@ -87,10 +87,7 @@ def _resolve_system(args, verification: Optional[VerificationPolicy] = None) -> 
     if unknown:
         raise _CliError(f"unknown rigid-body parameters {sorted(unknown)}")
     try:
-        rb = RigidBodyParams(**params)
-        if verification is not None:
-            return rigid_body_system(rb, verification)
-        return rigid_body_system(rb)
+        return rigid_body_system(RigidBodyParams(**params), verification or VerificationPolicy())
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 

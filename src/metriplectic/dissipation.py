@@ -32,7 +32,6 @@ __all__ = [
     "DissipationMatrix",
     "ConditionReport",
     "build_dissipation_matrix",
-    "apply_dissipation",
     "entropy_production",
     "verify_metriplectic_conditions",
 ]
@@ -63,15 +62,6 @@ def build_dissipation_matrix(gradH: Sequence[float]) -> DissipationMatrix:
     if not np.all(np.isfinite(g)):
         raise ValueError(f"gradient has non-finite components: {g.tolist()}")
     return DissipationMatrix(matrix=_dense(g), grad=g.copy())
-
-
-def apply_dissipation(gradH: Sequence[float], v: Sequence[float]) -> np.ndarray:
-    """Matrix-free ``G v = (g . v) g - ||g||^2 v`` in O(n)."""
-    g = np.asarray(gradH, dtype=float)
-    w = np.asarray(v, dtype=float)
-    if g.shape != w.shape or g.ndim != 1:
-        raise ValueError(f"shape mismatch: {g.shape} vs {w.shape}")
-    return np.dot(g, w) * g - np.dot(g, g) * w
 
 
 def entropy_production(gradH: Sequence[float], gradS: Sequence[float]) -> float | np.ndarray:

@@ -7,8 +7,8 @@ identities where it can, else samples the residual ``max_x ||Pi(x) grad C(x)||_i
 over a box of random points: Pi and each grad C_l from one call of its kernel's
 code on the sample's numpy columns, or point by point where that call raises.
 Every gradient is exact by construction: symbolic derivatives of the value, or
-the chain rule over them for grad phi(C); ``stability.hessian`` is the package's
-only finite-difference code, a test cross-check.  Scalar fields and Poisson
+the chain rule over them for grad phi(C); the package has no finite-difference
+code (the tests hold one, a cross-check).  Scalar fields and Poisson
 grids compile each kernel (Pi, a value, a gradient) at its first call, and
 every check here runs on them; construction still validates the trees.
 """
@@ -130,8 +130,10 @@ _ARRAY_ENV = {"sin": np.sin, "cos": np.cos, "_exp": np.exp, "_ln": np.log, "_sqr
 
 
 def _array_kernel(kernel: Callable) -> Callable:
-    """``kernel``'s code with numpy's functions, for ``xs`` a sample's columns."""
-    return types.FunctionType(kernel.__code__, {**kernel.__globals__, **_ARRAY_ENV})
+    """``kernel``'s code with numpy's functions, for ``xs`` a sample's columns; a math error's message
+    leaves the columns out (:func:`_on_columns` drops it, and the scalar code raises the point's)."""
+    columns_error = lambda exc, xs: ex.EvaluationError(f"{exc.args[-1]} on a sample's columns")
+    return types.FunctionType(kernel.__code__, {**kernel.__globals__, **_ARRAY_ENV, "kernel_error": columns_error})
 
 
 def _on_columns(kernels: Sequence[Callable], xs: np.ndarray) -> Optional[np.ndarray]:
@@ -215,8 +217,7 @@ class ScalarField:
     The gradient is exact by construction: each component is the value's
     :func:`expressions.differentiate`, and the only other gradients are
     :func:`compose_entropy`'s chain rule over such components.  No
-    finite difference runs here; ``stability.hessian`` is the package's
-    one, used as a cross-check.
+    finite difference runs in the package.
     """
 
     def __init__(self, arity: int, value: ex.Expression):
@@ -243,12 +244,8 @@ class ScalarField:
     _array_gradient = functools.cached_property(lambda self: _array_kernel(self._gradient))
 
     @classmethod
-    def from_expression(cls, value: ex.Expression, arity: int) -> "ScalarField":
-        return cls(arity, value)
-
-    @classmethod
     def from_string(cls, text: str, arity: int) -> "ScalarField":
-        return cls.from_expression(ex.parse(text, arity), arity)
+        return cls(arity, ex.parse(text, arity))
 
     def value_at(self, x: Sequence[float]) -> float:
         return self._value(as_state(x, self.arity))[0]

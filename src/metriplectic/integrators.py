@@ -18,8 +18,8 @@ every stage, and the diagnostics body when it comes from the same system;
 in fixed mode stage 1 then reuses the diagnostics' g, u, g.u and |g|^2.
 That loop is compiled once per system and mode.  Any other callable is
 called from the loop of its dimension n, through a thin array adapter
-unless it is a kernel.  Every path computes the bits that :func:`rk4_step`
-computes on arrays in fixed mode.
+unless it is a kernel.  In fixed mode every path computes the bits of the
+classical RK4 step on numpy arrays, the reference the tests step with.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "IntegrationError",
     "DivergenceError",
     "FieldEvaluationError",
-    "rk4_step",
     "integrate",
     "DIAGNOSTIC_COLUMNS",
 ]
@@ -168,29 +167,6 @@ class Trajectory:
         return self.diagnostics[:, DIAGNOSTIC_COLUMNS.index(name)]
 
 
-def rk4_step(field: Callable, x: Sequence[float], t: float, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size ``h`` from state ``x``.
-
-    ``field`` maps a state vector to its derivative; ``h`` must be a finite
-    number > 0.  Evaluation failures are re-raised as
-    :class:`FieldEvaluationError` with the stage index.
-    """
-    _check_positive(h, "step size")
-    x = np.asarray(x, dtype=float)
-    stage = 1
-    try:
-        k1 = field(x)
-        stage = 2
-        k2 = field(x + (0.5 * h) * k1)
-        stage = 3
-        k3 = field(x + (0.5 * h) * k2)
-        stage = 4
-        k4 = field(x + h * k3)
-    except EvaluationError as exc:
-        raise FieldEvaluationError(stage, t, exc) from exc
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _loop_source(n: int, adaptive: bool, field: Optional[Sequence[str]] = None,
                  diagnostics: Optional[Sequence[str]] = None, tail: Optional[Sequence[str]] = None) -> str:
     """Source of ``run``: the fixed RK4 or the adaptive Dormand-Prince loop over float locals.
@@ -199,7 +175,7 @@ def _loop_source(n: int, adaptive: bool, field: Optional[Sequence[str]] = None,
     a tuple, unless kernel bodies ``field`` and ``diagnostics`` run inline (locals renamed
     ``_<name>``, a math error raised as the kernel raises it), and in fixed mode ``tail``, over
     the diagnostics' locals, is stage 1 at the state they have just scored.  The fixed step is
-    :func:`rk4_step` operation for operation, and the checks and monitors are those
+    the classical RK4 step on arrays operation for operation, and the checks and monitors are those
     documented on :func:`integrate`, written as float comparisons.
     ``run`` returns ``(status, message, cause, *MonitorSummary fields)``.
     """
@@ -263,7 +239,7 @@ def _loop_source(n: int, adaptive: bool, field: Optional[Sequence[str]] = None,
            ] + diagnose("raise exc") + [
                "    e0 = rec[0]; s0 = sl = rec[1]; md = mi = 0.0; cnt = 0; R.extend(rec)",
            ], 1)
-    if not adaptive:  # x = rk4_step(F, x, t, hs), operation for operation
+    if not adaptive:  # x + (hs/6)*(k1 + 2*k2 + 2*k3 + k4) as on arrays, operation for operation
         axpy = lambda k, a: [f"x{i} + {a}*{k}{i}" for i in ix]
         body = indent([
             "for i in range(1, n_steps + 1):",
@@ -403,7 +379,7 @@ def integrate(
                 f"{n_steps} steps of h={control.h:g} exceed max_steps={control.max_steps}"
             )
 
-    def adapter(xs):  # any other field callable; a scalar broadcasts as it does in rk4_step
+    def adapter(xs):  # any other field callable; a scalar broadcasts as it does in an array RK4 step
         k = np.asarray(field(np.array(xs)), dtype=float)
         return k.tolist() if k.ndim else [float(k)] * n
 

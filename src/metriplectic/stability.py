@@ -7,8 +7,7 @@ a Lyapunov function for the dissipative dynamics and trajectories
 started nearby approach the set where grad H and grad phi(C) are
 linearly dependent.  Each report compiles one kernel from the trees of
 H and :func:`geometry.compose_entropy` that returns the gradient of
-H_phi, the upper triangle of its exact Hessian and its value; the
-finite-difference :func:`hessian` is kept as a cross-check.  The
+H_phi, the upper triangle of its exact Hessian and its value.  The
 convergence half is checked a posteriori on a computed trajectory: L
 must be nonincreasing step to step (within slack), and the trajectory
 tail, the computable stand-in for the omega-limit set, must sit at a
@@ -19,49 +18,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import expressions as ex
 from .dynamics import _compiled, _equilibrium_threshold, conservative_field
-from .geometry import ScalarField, SystemDefinition, _check_positive, _compile, as_state, compose_entropy
+from .geometry import SystemDefinition, _check_positive, _compile, as_state, compose_entropy
 from .integrators import MONOTONE_SLACK, Trajectory
 
 __all__ = [
     "LyapunovReport",
     "LaSalleReport",
     "PD_TOL",
-    "hessian",
     "lyapunov_report",
     "lasalle_diagnostics",
 ]
 
 PD_TOL = 1e-8
-DEFAULT_FD_SCALE = 1e-4
 # lasalle_diagnostics' defaults: the tail share of the samples and the dependence defect it must reach
 TAIL_FRACTION = 0.1
 DEFECT_TOL = 1e-6
-
-
-def hessian(field: ScalarField, x: Sequence[float], h: Optional[float] = None) -> np.ndarray:
-    """Symmetrized central finite differences of the gradient: the exact Hessian's cross-check.
-
-    ``M[i][j] = (d_j f(x + h e_i) - d_j f(x - h e_i)) / (2h)`` followed by
-    ``(M + M^T)/2``.  The default step ``1e-4 * (1 + ||x||_inf)`` balances
-    truncation against rounding for exact gradients in double precision;
-    a given ``h`` must be a finite number > 0.
-    """
-    point = np.asarray(x, dtype=float)
-    if point.shape != (field.arity,):
-        raise ValueError(f"point has shape {point.shape}, expected ({field.arity},)")
-    if h is None:
-        h = DEFAULT_FD_SCALE * (1.0 + float(np.max(np.abs(point))))
-    else:
-        _check_positive(h, "finite-difference step")
-    steps = h * np.eye(field.arity)
-    raw = np.array([(field.gradient_at(point + e) - field.gradient_at(point - e)) / (2.0 * h) for e in steps])
-    return (raw + raw.T) / 2.0
 
 
 @dataclass(frozen=True)

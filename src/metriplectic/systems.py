@@ -16,8 +16,8 @@ C = ||x||^2/2 is a Casimir.  The entropy shaper
 puts the dissipatively perturbed dynamics' attracting set through the
 equilibrium (M0, 0, 0).  Since phi'(s) = 2s - M0^2 - 1/I1, the scalar
 factor in the hand-expanded perturbed equations is
-``x1^2 + x2^2 + x3^2 - c`` with ``c = M0^2 + 1/I1``; that hand-expanded
-form is kept as an independent oracle for the generic field assembly.
+``x1^2 + x2^2 + x3^2 - c`` with ``c = M0^2 + 1/I1``; the tests keep that
+hand-expanded form as an independent oracle of the generic field assembly.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
 
 from . import expressions as ex
 from .geometry import (
@@ -44,7 +41,6 @@ __all__ = [
     "RigidBodyParams",
     "ConfigError",
     "rigid_body_system",
-    "rigid_body_perturbed_rhs",
     "load_system",
     "load_system_file",
     "BUILTIN_SYSTEMS",
@@ -73,23 +69,6 @@ class RigidBodyParams:
         if not all(math.isfinite(v) for v in (self.I1, self.I2, self.I3, self.M0)):
             raise ValueError("parameters must be finite")
 
-    @property
-    def a1(self) -> float:
-        return 1.0 / self.I3 - 1.0 / self.I2
-
-    @property
-    def a2(self) -> float:
-        return 1.0 / self.I1 - 1.0 / self.I3
-
-    @property
-    def a3(self) -> float:
-        return 1.0 / self.I2 - 1.0 / self.I1
-
-    @property
-    def c_phi(self) -> float:
-        """Constant in the expanded dissipative factor, M0^2 + 1/I1."""
-        return self.M0 * self.M0 + 1.0 / self.I1
-
 
 _RIGID_POISSON = [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]]
 
@@ -109,30 +88,6 @@ def rigid_body_system(
         phi=ex.parse(phi, 1, "s"),
         name="rigid-body",
         verification=verification,
-    )
-
-
-def rigid_body_perturbed_rhs(params: RigidBodyParams, x: Sequence[float]) -> np.ndarray:
-    """Hand-expanded right-hand side of the perturbed rigid body.
-
-    Written directly from the componentwise equations (independent of the
-    expression layer and the generic field assembly) so the two can be
-    compared against each other.
-    """
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"state must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"state must be finite, got {v.tolist()}")
-    x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
-    a1, a2, a3 = params.a1, params.a2, params.a3
-    s = x1 * x1 + x2 * x2 + x3 * x3 - params.c_phi
-    return np.array(
-        [
-            a1 * x2 * x3 + x1 * s * (-(a3 / params.I2) * x2 * x2 + (a2 / params.I3) * x3 * x3),
-            a2 * x1 * x3 + x2 * s * ((a3 / params.I1) * x1 * x1 - (a1 / params.I3) * x3 * x3),
-            a3 * x1 * x2 + x3 * s * (-(a2 / params.I1) * x1 * x1 + (a1 / params.I2) * x2 * x2),
-        ]
     )
 
 
@@ -221,7 +176,7 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
     if not isinstance(casimir_texts, list):
         raise ConfigError("casimirs: expected a list of expression strings")
     casimirs = [
-        ScalarField.from_expression(_parse_field(text, n, f"casimirs[{i}]"), n)
+        ScalarField(n, _parse_field(text, n, f"casimirs[{i}]"))
         for i, text in enumerate(casimir_texts)
     ]
     phi = _parse_field(document["phi"], max(len(casimirs), 1), "phi", prefix="s") if "phi" in document else None
@@ -232,7 +187,7 @@ def load_system(document: dict, verification: VerificationPolicy | None = None) 
     try:
         return SystemDefinition(
             poisson=PoissonStructure(n, entries),
-            hamiltonian=ScalarField.from_expression(hamiltonian, n),
+            hamiltonian=ScalarField(n, hamiltonian),
             casimirs=casimirs,
             phi=phi,
             name=name,

@@ -139,3 +139,20 @@ def test_a_constant_entry_is_one_column_of_the_sample():
     values = on_columns(field._array_gradient, xs)
     assert values.shape == (3, 2) and values.tolist() == [[2.0, 6.0], [2.0, -2.0], [2.0, 1.0]]
     assert on_columns(field._array_gradient, xs[:0]).shape == (0, 2)
+
+
+def test_a_constant_math_error_leaves_the_columns_out_of_the_array_message():
+    # the array call's message names no column; the scalar code still raises the first point's
+    field = mp.ScalarField.from_string("x1^2 + x2*(x3 + 1/0)", 3)
+    xs = np.random.default_rng(9).uniform(-2.0, 2.0, (500, 3))
+    with pytest.raises(ex.EvaluationError) as array_error:
+        field._array_gradient(list(xs.T))
+    assert str(array_error.value) == "float division by zero on a sample's columns"
+    assert _on_columns([field._array_gradient], xs) is None
+    with pytest.raises(ex.EvaluationError) as scalar_error:
+        scalar_rows(field._gradient, xs)
+    assert str(scalar_error.value) == f"float division by zero at x={xs[0].tolist()}"
+    sys_def = raising_system("hamiltonian", "x3 + 1/0")
+    with pytest.raises(ex.EvaluationError, match=r"float division by zero at x=\[") as check_error:
+        mp.verify_metriplectic_conditions(sys_def, SAMPLE, 1e-10)
+    assert f"at {SAMPLE[0].tolist()}" in str(check_error.value)

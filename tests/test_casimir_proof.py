@@ -147,7 +147,7 @@ def cross_systems(seed: int, count: int):
     rng = np.random.default_rng(seed)
     zero = ex.Num(0.0)
     for _ in range(count):
-        casimir = mp.ScalarField.from_expression(random_polynomial_tree(rng, 3, int(rng.integers(2, 5))), 3)
+        casimir = mp.ScalarField(3, random_polynomial_tree(rng, 3, int(rng.integers(2, 5))))
         f = random_polynomial_tree(rng, 3, int(rng.integers(0, 3)))
         g1, g2, g3 = (ex.Mul(f, g) for g in casimir.gradient)
         entries = [[zero, ex.Neg(g3), g2], [g3, zero, ex.Neg(g1)], [ex.Neg(g2), g1, zero]]

@@ -352,11 +352,11 @@ def null_coordinate_systems(seed, count):
     while len(systems) < count:
         k = len(systems) % 3 + 1
         casimirs = [
-            mp.ScalarField.from_expression(ex.substitute(random_tree(rng, 2, 3), {1: ex.Var(3), 2: ex.Var(4)}), 4)
+            mp.ScalarField(4, ex.substitute(random_tree(rng, 2, 3), {1: ex.Var(3), 2: ex.Var(4)}))
             for _ in range(k)
         ]
         sys_def = mp.SystemDefinition(
-            poisson, mp.ScalarField.from_expression(random_tree(rng, 4, 3), 4), casimirs,
+            poisson, mp.ScalarField(4, random_tree(rng, 4, 3)), casimirs,
             ex.parse(TRANSCENDENTAL_PHI[k], k, "s"), verification=mp.VerificationPolicy(samples=0),
         )
         mp.compose_entropy(sys_def)

@@ -38,9 +38,9 @@ def generated_system(seed, n, k):
         for j in range(i + 1, n):
             entries[i][j] = random_tree(rng, n, 2)
             entries[j][i] = ex.neg(entries[i][j])
-    casimirs = [mp.ScalarField.from_expression(random_tree(rng, n, 2), n) for _ in range(k)]
+    casimirs = [mp.ScalarField(n, random_tree(rng, n, 2)) for _ in range(k)]
     return mp.SystemDefinition(
-        mp.PoissonStructure(n, entries), mp.ScalarField.from_expression(random_tree(rng, n, 3), n), casimirs,
+        mp.PoissonStructure(n, entries), mp.ScalarField(n, random_tree(rng, n, 3)), casimirs,
         random_tree(rng, k, 2) if k else None, verification=mp.VerificationPolicy(samples=0),
     ), rng.uniform(-1.0, 1.0, n)
 

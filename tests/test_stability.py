@@ -8,6 +8,7 @@ import pytest
 import metriplectic as mp
 from metriplectic import cli, geometry, stability
 from metriplectic import expressions as ex
+from oracles import hessian
 from test_compiled_path import E3_DOCUMENT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -122,34 +123,34 @@ def test_a_second_report_and_lasalle_see_the_same_system():
 
 def test_hessian_of_square():
     field = mp.ScalarField.from_string("x1^2", 3)
-    assert mp.hessian(field, [0.3, -1.0, 2.0]) == pytest.approx(np.diag([2.0, 0.0, 0.0]), abs=1e-8)
+    assert hessian(field, [0.3, -1.0, 2.0]) == pytest.approx(np.diag([2.0, 0.0, 0.0]), abs=1e-8)
 
 
 def test_hessian_of_cross_term():
     field = mp.ScalarField.from_string("x1*x2", 3)
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 0] = 1.0
-    assert mp.hessian(field, [0.0, 0.0, 0.0]) == pytest.approx(expected, abs=1e-8)
+    assert hessian(field, [0.0, 0.0, 0.0]) == pytest.approx(expected, abs=1e-8)
 
 
 def test_hessian_of_augmented_energy(rigid):
     field = augmented_energy(rigid)
-    out = mp.hessian(field, [1.0, 0.0, 0.0])
+    out = hessian(field, [1.0, 0.0, 0.0])
     assert out == pytest.approx(np.diag([2.0, 1 / 6, 2 / 3]), abs=1e-6)
 
 
 def test_hessian_is_exactly_symmetric(rigid):
-    out = mp.hessian(augmented_energy(rigid), [0.3, -0.2, 0.9])
+    out = hessian(augmented_energy(rigid), [0.3, -0.2, 0.9])
     assert np.array_equal(out, out.T)
 
 
 def test_hessian_argument_checks(rigid):
     field = augmented_energy(rigid)
     with pytest.raises(ValueError):
-        mp.hessian(field, [1.0, 0.0])
+        hessian(field, [1.0, 0.0])
     for h in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            mp.hessian(field, [1.0, 0.0, 0.0], h=h)
+            hessian(field, [1.0, 0.0, 0.0], h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_exact_hessian_agrees_with_finite_differences(name):
     sys_def = build()
     report = mp.lyapunov_report(sys_def, x_e)
     assert np.array_equal(report.hessian, report.hessian.T)
-    assert np.max(np.abs(report.hessian - mp.hessian(augmented_energy(sys_def), x_e))) <= 1e-6
+    assert np.max(np.abs(report.hessian - hessian(augmented_energy(sys_def), x_e))) <= 1e-6
     assert report.positive_definite == (name != "rigid-x3-config")
 
 
